@@ -98,6 +98,44 @@ def run_ed1(events: int = 3000,
     return samples
 
 
+def run_ed1_facade(events: int = 3000) -> dict[str, float]:
+    """ED-1 with a rule through ``Sentinel``: what watching costs.
+
+    The same wrapped call as :func:`run_ed1`'s ``with_rule``, on the
+    facade's detector at three telemetry settings — ``metrics=False``
+    (dormant hub), the default processors (aggregators only), and the
+    default plus a ``TraceLogProcessor`` (every emission materialised
+    as a frozen event). The spread between the samples is the price
+    of observing, recorded where the default configuration runs.
+    """
+    from repro.bench.workload import ReactiveSchema
+    from repro.sentinel import Sentinel
+    from repro.telemetry import TraceLogProcessor
+
+    schema = ReactiveSchema(n_classes=1, n_methods=1)
+    samples: dict[str, float] = {}
+    for setting in ("telemetry_off", "default", "recording"):
+        system = Sentinel(
+            name=f"ed1-{setting}", metrics=setting != "telemetry_off"
+        )
+        if setting == "recording":
+            system.telemetry.attach(TraceLogProcessor())
+        detector = system.detector
+        (node,) = schema.install(detector)
+        system.rule("r", node, action=lambda occ: None)
+        for __ in range(events // 10):  # untimed: lazily built state
+            schema.signal(detector, 0, 0)
+
+        def pump() -> int:
+            for __ in range(events):
+                schema.signal(detector, 0, 0)
+            return events
+
+        samples[setting] = _per_event_us(pump)
+        system.close()
+    return samples
+
+
 def run_ed2(length: int = 1500,
             dispatch: str = "interpreted") -> dict[str, float]:
     """ED-2: composite detection per operator over a stream, us/event."""
@@ -232,12 +270,15 @@ def run_async_actions(events: int = 64,
 
 #: name -> (unit, runner); the set the core trajectory tracks.
 #: The ``-compiled`` entries rerun the same workloads under
-#: ``dispatch="compiled"`` so both engines leave a gated trajectory.
+#: ``dispatch="compiled"`` so both engines leave a gated trajectory;
+#: ``ED-1-facade`` prices telemetry through ``Sentinel`` (off /
+#: default / recording).
 QUICK_BENCHMARKS: dict[str, tuple[str, Callable[[], dict[str, float]]]] = {
     "ED-1": ("us_per_event", run_ed1),
     "ED-1-compiled": (
         "us_per_event", partial(run_ed1, dispatch="compiled")
     ),
+    "ED-1-facade": ("us_per_event", run_ed1_facade),
     "ED-2": ("us_per_event", run_ed2),
     "ED-2-compiled": (
         "us_per_event", partial(run_ed2, dispatch="compiled")

@@ -80,10 +80,15 @@ def event(begin: Optional[str] = None, end: Optional[str] = None):
     return decorate
 
 
-def _collect_arguments(fn: Callable, args: tuple, kwargs: dict) -> dict:
-    """Bind actual arguments to parameter names (the PARA_LIST content)."""
+def _collect_arguments(bind: Callable, args: tuple, kwargs: dict) -> dict:
+    """Bind actual arguments to parameter names (the PARA_LIST content).
+
+    ``bind`` is the method's ``Signature.bind``, resolved once when the
+    wrapper is generated: computing a signature costs more than the
+    rest of a wrapped call.
+    """
     try:
-        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound = bind(*args, **kwargs)
         bound.apply_defaults()
         return {k: v for k, v in bound.arguments.items() if k != "self"}
     except TypeError:
@@ -98,6 +103,7 @@ def _make_wrapper(fn: Callable, declaration: EventDeclaration) -> Callable:
     detector can honor the inheritance property by walking the MRO.
     """
     signature = _method_signature(fn)
+    bind = inspect.signature(fn).bind
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
@@ -108,7 +114,7 @@ def _make_wrapper(fn: Callable, declaration: EventDeclaration) -> Callable:
         # notification carries the instance's *dynamic* class; the
         # detector matches up the MRO, giving the paper's inheritance
         # property (a class-level rule fires for subclass instances).
-        arguments = _collect_arguments(wrapper, (self,) + args, kwargs)
+        arguments = _collect_arguments(bind, (self,) + args, kwargs)
         dynamic_class = type(self).__name__
         if declaration.begin_name:
             detector.notify(self, dynamic_class, signature,

@@ -255,15 +255,13 @@ class RuleScheduler:
         """
         from repro.core.async_executor import isolate
 
-        hub_local = self._detector.telemetry._local
         return isolate(
             self._run_one_async(activation),
             [
                 (self._detector._local, "txn", None),
                 (self._local, "depth", self._depth()),
                 (self._local, "rule", self.current_rule()),
-                (hub_local, "stack", []),
-                (hub_local, "trace", None),
+                self._detector.telemetry.task_context(),
             ],
         )
 
@@ -487,11 +485,8 @@ class RuleScheduler:
                 detector_local.suppressed = previous_suppressed
         finally:
             if condition_span is not None:
-                condition_span.close(satisfied=satisfied)
                 span.set(
-                    condition_ms=(
-                        perf_counter() - condition_span.started
-                    ) * 1000.0
+                    condition_ms=condition_span.close(satisfied=satisfied)
                 )
         self._notify("condition", rule, occurrence, satisfied=satisfied,
                      depth=self._depth())
@@ -549,11 +544,8 @@ class RuleScheduler:
                 detector_local.suppressed = previous_suppressed
         finally:
             if condition_span is not None:
-                condition_span.close(satisfied=satisfied)
                 span.set(
-                    condition_ms=(
-                        perf_counter() - condition_span.started
-                    ) * 1000.0
+                    condition_ms=condition_span.close(satisfied=satisfied)
                 )
         self._notify("condition", rule, occurrence, satisfied=satisfied,
                      depth=self._depth())

@@ -124,6 +124,8 @@ def render_registry(registry: MetricsRegistry,
     labeled_counters: dict[str, list[tuple[str, int]]] = {}
     for name in sorted(registry.counters):
         value = registry.counters[name].value
+        if not value:  # bound by an aggregator, never counted
+            continue
         split = _context_split(name)
         if split is not None:
             base, ctx = split
@@ -143,6 +145,8 @@ def render_registry(registry: MetricsRegistry,
     declared: set[str] = set()
     for name in sorted(registry.histograms):
         histogram = registry.histograms[name]
+        if not histogram.count:
+            continue
         kind, _, instance = name.partition(":")
         if instance and kind in _LABELED_FAMILIES:
             family_suffix, label = _LABELED_FAMILIES[kind]

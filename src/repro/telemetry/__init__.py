@@ -3,10 +3,13 @@
 The observability layer the paper's BEAST measurements presuppose:
 every lifecycle stage of Figure 1 (notification, graph propagation,
 composite detection, condition evaluation, rule subtransactions,
-detached dispatch, WAL flush, buffer eviction) emits a frozen-dataclass
-trace event through a :class:`TelemetryHub` to pluggable, best-effort
+detached dispatch, WAL flush, buffer eviction) emits a typed trace
+event through a :class:`TelemetryHub` to pluggable, best-effort
 :class:`TelemetryProcessor`\\ s. With no processor attached the
-instrumented paths reduce to a single flag check.
+instrumented paths reduce to a single flag check; with only
+aggregating processors (the default counters and stage histograms) an
+emission is a few additions, and the frozen-dataclass event is built
+only for processors that keep it.
 
 Quickstart::
 
@@ -58,6 +61,7 @@ from repro.telemetry.latency import (
     StageLatencyProcessor,
 )
 from repro.telemetry.processors import (
+    Aggregator,
     Counter,
     CounterProcessor,
     Histogram,
@@ -71,6 +75,7 @@ __all__ = [
     "TelemetryHub",
     "TelemetrySpan",
     "TelemetryProcessor",
+    "Aggregator",
     "CounterProcessor",
     "TimingProcessor",
     "TraceLogProcessor",

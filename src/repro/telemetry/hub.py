@@ -1,4 +1,4 @@
-"""The telemetry hub: span bookkeeping and best-effort dispatch.
+"""The telemetry hub: typed routes, span bookkeeping, best-effort delivery.
 
 One :class:`TelemetryHub` is shared by every module of a Sentinel
 instance (detector, event graph, scheduler, transaction manager,
@@ -7,36 +7,56 @@ attribute, true iff at least one processor is attached — before doing
 any tracing work, so with zero processors the emit path costs one
 attribute read and a branch.
 
-Dispatch is synchronous and best-effort: a processor that raises never
-breaks event detection or rule execution; the exception is counted in
-``hub.dropped`` and remembered in ``hub.last_error``.
+Delivery is routed by event class. ``attach``/``detach`` compile an
+immutable ``{event class -> route}`` table from what the attached
+processors ask for, and swap it in whole; an emission reads whichever
+table is current, so processors can come and go from any thread while
+events flow. A route has two halves:
 
-Span parentage is tracked with a per-thread stack. Opening a span
-pushes its id; closing pops it and emits the frozen event. Work handed
-to another thread (detached rules, threaded executors) carries its
-parent span id explicitly via the ``parent_id`` argument.
+* *reducers* — functions of ``(fields, duration_ms)`` published by
+  aggregating processors (the default ``CounterProcessor`` and
+  ``StageLatencyProcessor``). They are fed straight from the call
+  site's keyword arguments.
+* *recorders* — the ``handle(event)`` methods of recording processors
+  (``TraceLogProcessor``, ``FlightRecorder``, the JSONL exporter, the
+  profiler, any object with a ``handle`` method). The frozen
+  :class:`~repro.telemetry.events.TraceEvent` is built once per
+  emission, and only when the route holds at least one of them.
 
-Trace context rides alongside: each thread has a current *trace id* —
-an opaque hex string naming one end-to-end event lifecycle. A root
-span (no trace current on its thread) mints a fresh trace id and owns
-it for its duration; nested spans and points inherit it. Context can
-be adopted explicitly — :meth:`TelemetryHub.trace_scope` for foreign
-contexts arriving over the serving wire, or the ``trace_id`` argument
-to :meth:`TelemetryHub.span` for activations replayed on detached
-worker threads — so one detection renders as a single connected tree
-no matter how many threads or processes it crossed. Span ids draw from
-a process-global counter, so spans from different hubs (a client's and
-a server's in the same process) never collide within a trace.
+An emission of a class nobody asked for costs one dict miss: ``point``
+returns None and ``span`` returns the shared :data:`NOOP_SPAN`.
+
+Delivery is synchronous and best-effort: a reducer or ``handle`` that
+raises never breaks event detection or rule execution; the exception
+is counted in ``hub.dropped`` and remembered in ``hub.last_error``.
+
+Span parentage is tracked with a per-thread :class:`SpanContext`: a
+stack of open span ids and the current *trace id* — an opaque hex
+string naming one end-to-end event lifecycle. Opening a span pushes its
+id; closing pops it and emits. A root span (no trace current on its
+thread) mints a fresh trace id and owns it for its duration; nested
+spans and points inherit it. Work handed to another thread (detached
+rules, threaded executors) carries its parent span id explicitly via
+the ``parent_id`` argument, and context can be adopted explicitly —
+:meth:`TelemetryHub.trace_scope` for foreign contexts arriving over the
+serving wire, or the ``trace_id`` argument to :meth:`TelemetryHub.span`
+for activations replayed on detached worker threads — so one detection
+renders as a single connected tree no matter how many threads or
+processes it crossed. Span ids draw from a process-global counter, so
+spans from different hubs (a client's and a server's in the same
+process) never collide within a trace.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import itertools
 import os
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.telemetry.events import TraceEvent
 
@@ -47,17 +67,64 @@ if TYPE_CHECKING:
 #: from an explicit parent (including an explicit ``None`` root).
 INHERIT: Any = object()
 
+#: ``TelemetrySpan._trace_restore`` of a span that did not change its
+#: thread's current trace (``None`` is a real value to restore).
+_KEEP: Any = object()
+
 #: process-global span-id source shared by every hub (see module docs).
 _SPAN_IDS = itertools.count(1)
 
+#: what one event class is delivered to: the aggregators' reducers, the
+#: recording processors' ``handle`` methods, and the class's field
+#: defaults (handed to reducers, which see no dataclass instance).
+Route = tuple[tuple[Callable, ...], tuple[Callable, ...], dict]
+
+
+def _reseed_trace_ids() -> None:
+    global _TRACE_PREFIX, _TRACE_SERIAL
+    _TRACE_PREFIX = os.urandom(4).hex()
+    _TRACE_SERIAL = itertools.count(1)
+
+
+_reseed_trace_ids()
+# A forked child must not continue its parent's sequence.
+os.register_at_fork(after_in_child=_reseed_trace_ids)
+
 
 def new_trace_id() -> str:
-    """A fresh 64-bit trace id as 16 hex chars."""
-    return os.urandom(8).hex()
+    """A fresh trace id as 16 hex chars.
+
+    A random per-process prefix plus a serial number: unique within the
+    process by construction, across processes by the 32 random bits.
+    """
+    return f"{_TRACE_PREFIX}{next(_TRACE_SERIAL) & 0xFFFFFFFF:08x}"
+
+
+class SpanContext:
+    """One thread's (or one asyncio task's) tracing position."""
+
+    __slots__ = ("stack", "trace")
+
+    def __init__(self) -> None:
+        #: ids of the open spans, innermost last
+        self.stack: list[int] = []
+        #: the trace this thread is inside, if any
+        self.trace: Optional[str] = None
+
+
+class _ThreadContext(threading.local):
+    """``.ctx`` is the calling thread's :class:`SpanContext`.
+
+    The asyncio lane swaps ``ctx`` per task (``scheduler._isolated``),
+    so interleaved coroutines never share a span stack.
+    """
+
+    def __init__(self) -> None:
+        self.ctx = SpanContext()
 
 
 class TelemetrySpan:
-    """An open scope; emits its frozen event when closed.
+    """An open scope; emits its event when closed.
 
     Usable as a context manager or closed manually (``open_span`` /
     ``close``) for scopes that straddle method calls, like a top-level
@@ -66,8 +133,8 @@ class TelemetrySpan:
     """
 
     __slots__ = (
-        "_hub", "_cls", "_fields", "span_id", "parent_span_id",
-        "trace_id", "started", "_open", "_owns_trace", "_trace_restore",
+        "_hub", "_cls", "_fields", "_context", "span_id", "parent_span_id",
+        "trace_id", "started", "_open", "_trace_restore",
     )
 
     def __init__(self, hub: "TelemetryHub", cls: type[TraceEvent],
@@ -75,32 +142,30 @@ class TelemetrySpan:
         self._hub = hub
         self._cls = cls
         self._fields = fields
-        self.span_id = next(hub._ids)
-        stack = hub._stack()
+        self.span_id = next(_SPAN_IDS)
+        self._context = context = hub._local.ctx
+        stack = context.stack
         if parent_id is INHERIT:
             self.parent_span_id = stack[-1] if stack else None
         else:
             self.parent_span_id = parent_id
-        local = hub._local
-        current = getattr(local, "trace", None)
+        current = context.trace
         if trace_id is INHERIT or trace_id is None:
             if current is None:
                 # Root of a new lifecycle: mint a trace and own it.
-                self.trace_id = new_trace_id()
-                local.trace = self.trace_id
-                self._owns_trace = True
+                current = context.trace = new_trace_id()
                 self._trace_restore = None
             else:
-                self.trace_id = current
-                self._owns_trace = False
-                self._trace_restore = None
+                self._trace_restore = _KEEP
+            self.trace_id = current
         else:
             # Explicit adoption (detached replay, cross-thread handoff).
             self.trace_id = trace_id
-            self._owns_trace = trace_id != current
-            self._trace_restore = current
-            if self._owns_trace:
-                local.trace = trace_id
+            if trace_id != current:
+                context.trace = trace_id
+                self._trace_restore = current
+            else:
+                self._trace_restore = _KEEP
         stack.append(self.span_id)
         self._open = True
         self.started = perf_counter()
@@ -110,13 +175,17 @@ class TelemetrySpan:
         self._fields.update(fields)
         return self
 
-    def close(self, **fields: Any) -> None:
-        """Pop the span and emit its event (idempotent)."""
+    def close(self, **fields: Any) -> float:
+        """Pop the span and emit its event; returns the duration (ms).
+
+        Idempotent: a second close emits nothing and returns ``0.0``.
+        """
         if not self._open:
-            return
+            return 0.0
         self._open = False
         elapsed_ms = (perf_counter() - self.started) * 1000.0
-        stack = self._hub._stack()
+        context = self._context
+        stack = context.stack
         if stack and stack[-1] == self.span_id:
             stack.pop()
         else:  # unbalanced close (error paths); drop our frame anyway
@@ -124,18 +193,20 @@ class TelemetrySpan:
                 stack.remove(self.span_id)
             except ValueError:
                 pass
-        if self._owns_trace:
-            self._hub._local.trace = self._trace_restore
+        if self._trace_restore is not _KEEP:
+            context.trace = self._trace_restore
         if fields:
             self._fields.update(fields)
-        self._hub.dispatch(self._cls(
-            span_id=self.span_id,
-            parent_span_id=self.parent_span_id,
-            at=self.started,
-            duration_ms=elapsed_ms,
-            trace_id=self.trace_id,
-            **self._fields,
-        ))
+        hub = self._hub
+        # Looked up now, not at open: a processor attached while the
+        # span was open receives it.
+        route = hub._routes.get(self._cls, hub._fallback)
+        if route is not None:
+            hub._deliver(
+                route, self._cls, self.span_id, self.parent_span_id,
+                self.started, elapsed_ms, self.trace_id, self._fields,
+            )
+        return elapsed_ms
 
     def __enter__(self) -> "TelemetrySpan":
         return self
@@ -144,8 +215,45 @@ class TelemetrySpan:
         self.close()
 
 
+class _NoopSpan:
+    """What :meth:`TelemetryHub.span` returns for an event class no
+    processor subscribed to: it tracks nothing and emits nothing."""
+
+    __slots__ = ()
+
+    span_id = None
+    parent_span_id = None
+    trace_id = None
+
+    def set(self, **fields: Any) -> "_NoopSpan":
+        return self
+
+    def close(self, **fields: Any) -> float:
+        return 0.0
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        pass
+
+
+NOOP_SPAN = _NoopSpan()
+
+
+@functools.cache
+def _field_defaults(cls: type[TraceEvent]) -> dict:
+    """The defaulted stage-specific fields of an event class."""
+    return {
+        f.name: f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+        and f.name not in TraceEvent.__dataclass_fields__
+    }
+
+
 class TelemetryHub:
-    """Dispatches trace events to attached processors."""
+    """Routes emissions, by event class, to the attached processors."""
 
     def __init__(self) -> None:
         #: fast-path flag: instrumented code reads this before tracing
@@ -153,47 +261,91 @@ class TelemetryHub:
         #: processor exceptions swallowed so far (best-effort dispatch)
         self.dropped = 0
         self.last_error: Optional[BaseException] = None
-        self._processors: list["TelemetryProcessor"] = []
-        self._ids = _SPAN_IDS
-        self._local = threading.local()
+        # _processors, _routes and _fallback are immutable snapshots,
+        # replaced (never mutated) by attach/detach under _attach_lock:
+        # an emission racing a detach reads one table or the other.
+        self._processors: tuple["TelemetryProcessor", ...] = ()
+        self._routes: dict[type, Route] = {}
+        #: route of a class absent from ``_routes``: the processors that
+        #: take every class, or None when there are none
+        self._fallback: Optional[Route] = None
+        self._attach_lock = threading.Lock()
+        self._local = _ThreadContext()
 
     # -- processors ----------------------------------------------------------
 
     @property
     def processors(self) -> tuple["TelemetryProcessor", ...]:
-        return tuple(self._processors)
+        return self._processors
 
     def attach(self, processor: "TelemetryProcessor") -> "TelemetryProcessor":
         """Add a processor and enable the instrumented paths."""
-        self._processors.append(processor)
-        self.active = True
+        with self._attach_lock:
+            self._install(self._processors + (processor,))
         return processor
 
     def detach(self, processor: "TelemetryProcessor") -> None:
         """Remove a processor; the hub goes dormant with none left."""
-        try:
-            self._processors.remove(processor)
-        except ValueError:
-            pass
-        self.active = bool(self._processors)
+        with self._attach_lock:
+            remaining = list(self._processors)
+            try:
+                remaining.remove(processor)
+            except ValueError:
+                return
+            self._install(tuple(remaining))
+
+    def _install(self, processors: tuple["TelemetryProcessor", ...]) -> None:
+        """Compile ``{event class -> route}`` for ``processors``.
+
+        A processor contributes its ``reducers()`` (class → function of
+        ``(fields, duration_ms)``) and its ``handle``, for the classes
+        in ``subscriptions`` or, when that is None, for every class.
+        Anything with a ``handle(event)`` method is a processor that
+        records everything.
+        """
+        specs = [
+            (
+                processor.handle,
+                getattr(processor, "subscriptions", None),
+                getattr(processor, "reducers", dict)(),
+            )
+            for processor in processors
+        ]
+        rows: dict[type, tuple[list, list]] = {}
+        for __, subscribed, reducers in specs:
+            for cls, reduce in reducers.items():
+                rows.setdefault(cls, ([], []))[0].append(reduce)
+            for cls in subscribed or ():
+                rows.setdefault(cls, ([], []))
+        everything = []
+        for handle, subscribed, __ in specs:
+            if subscribed is None:
+                everything.append(handle)
+            for cls in rows if subscribed is None else subscribed:
+                rows[cls][1].append(handle)
+        self._routes = {
+            cls: (tuple(reducers), tuple(recorders), _field_defaults(cls))
+            for cls, (reducers, recorders) in rows.items()
+        }
+        self._fallback = ((), tuple(everything), {}) if everything else None
+        self._processors = processors
+        self.active = bool(processors)
 
     # -- span context --------------------------------------------------------
 
-    def _stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def current_span_id(self) -> Optional[int]:
         """The innermost open span on this thread, if any."""
-        stack = self._stack()
+        stack = self._local.ctx.stack
         return stack[-1] if stack else None
 
     def current_trace_id(self) -> Optional[str]:
         """The trace this thread is currently inside, if any."""
-        return getattr(self._local, "trace", None)
+        return self._local.ctx.trace
+
+    def task_context(self) -> tuple[Any, str, SpanContext]:
+        """An :func:`~repro.core.async_executor.isolate` spec giving an
+        asyncio task a span context of its own, empty to start with."""
+        return (self._local, "ctx", SpanContext())
 
     @contextlib.contextmanager
     def trace_scope(self, trace_id: str,
@@ -206,10 +358,10 @@ class TelemetryHub:
         into the peer's wire span, stitching the client and server
         halves into one tree. Restores the prior context on exit.
         """
-        local = self._local
-        prior = getattr(local, "trace", None)
-        local.trace = trace_id
-        stack = self._stack()
+        context = self._local.ctx
+        prior = context.trace
+        context.trace = trace_id
+        stack = context.stack
         if parent_span_id is not None:
             stack.append(parent_span_id)
         try:
@@ -223,13 +375,21 @@ class TelemetryHub:
                         stack.remove(parent_span_id)
                     except ValueError:
                         pass
-            local.trace = prior
+            context.trace = prior
 
     # -- emission ------------------------------------------------------------
 
     def span(self, cls: type[TraceEvent], *, parent_id: Any = INHERIT,
-             trace_id: Any = INHERIT, **fields: Any) -> TelemetrySpan:
-        """Open a scope; use as ``with hub.span(Cls, ...) as sp:``."""
+             trace_id: Any = INHERIT,
+             **fields: Any) -> "TelemetrySpan | _NoopSpan":
+        """Open a scope; use as ``with hub.span(Cls, ...) as sp:``.
+
+        A class no attached processor subscribed to gets the shared
+        :data:`NOOP_SPAN`: nothing is timed, and the scope neither
+        parents nor mints a trace for what runs inside it.
+        """
+        if cls not in self._routes and self._fallback is None:
+            return NOOP_SPAN
         return TelemetrySpan(self, cls, parent_id, fields, trace_id)
 
     # A long-lived scope (a transaction) opens here and closes later
@@ -239,29 +399,55 @@ class TelemetryHub:
     def point(self, cls: type[TraceEvent], *, parent_id: Any = INHERIT,
               trace_id: Optional[str] = None,
               **fields: Any) -> Optional[TraceEvent]:
-        """Emit an instantaneous event parented to the current span."""
-        if not self.active:
-            return None
-        if parent_id is INHERIT:
-            parent_id = self.current_span_id()
-        if trace_id is None:
-            trace_id = self.current_trace_id()
-        event = cls(
-            span_id=next(self._ids),
-            parent_span_id=parent_id,
-            at=perf_counter(),
-            duration_ms=0.0,
-            trace_id=trace_id,
-            **fields,
-        )
-        self.dispatch(event)
-        return event
+        """Emit an instantaneous event parented to the current span.
 
-    def dispatch(self, event: TraceEvent) -> None:
-        """Deliver ``event`` to every processor, isolating failures."""
-        for processor in self._processors:
+        Returns the event when a recording processor received one,
+        None when only aggregators (or nobody) took the emission.
+        """
+        route = self._routes.get(cls, self._fallback)
+        if route is None:
+            return None
+        if not route[1]:
+            # Aggregators only, the commonest case by far: no span id,
+            # clock reading or context lookup is needed.
+            return self._deliver(route, cls, 0, None, 0.0, 0.0, None, fields)
+        context = self._local.ctx
+        if parent_id is INHERIT:
+            stack = context.stack
+            parent_id = stack[-1] if stack else None
+        if trace_id is None:
+            trace_id = context.trace
+        return self._deliver(
+            route, cls, next(_SPAN_IDS), parent_id, perf_counter(), 0.0,
+            trace_id, fields,
+        )
+
+    def _deliver(self, route: Route, cls: type[TraceEvent], span_id: int,
+                 parent_id: Optional[int], at: float, duration_ms: float,
+                 trace_id: Optional[str],
+                 fields: dict) -> Optional[TraceEvent]:
+        """One emission: reduce it, and build the frozen event only if
+        a recording processor will keep it. Failures are isolated."""
+        reducers, recorders, defaults = route
+        if reducers:
+            if defaults:
+                fields = {**defaults, **fields}
+            for reduce in reducers:
+                try:
+                    reduce(fields, duration_ms)
+                except Exception as error:  # must never break rules
+                    self.dropped += 1
+                    self.last_error = error
+        if not recorders:
+            return None
+        event = cls(
+            span_id=span_id, parent_span_id=parent_id, at=at,
+            duration_ms=duration_ms, trace_id=trace_id, **fields,
+        )
+        for handle in recorders:
             try:
-                processor.handle(event)
+                handle(event)
             except Exception as error:  # a processor must never break rules
                 self.dropped += 1
                 self.last_error = error
+        return event

@@ -35,7 +35,6 @@ Attach it to a hub (``Sentinel(metrics=True)`` does, alongside the
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable
 
 from repro.telemetry.events import (
     BatchIngested,
@@ -45,10 +44,9 @@ from repro.telemetry.events import (
     NotificationReceived,
     RuleExecution,
     ShardHop,
-    TraceEvent,
     WireRequest,
 )
-from repro.telemetry.processors import TelemetryProcessor
+from repro.telemetry.processors import Aggregator, Reducer
 
 #: canonical lifecycle stages, in pipeline order
 STAGES = (
@@ -135,51 +133,42 @@ class LogHistogram:
         )
 
 
-class StageLatencyProcessor(TelemetryProcessor):
-    """Aggregates trace events into per-stage :class:`LogHistogram`\\ s."""
+class StageLatencyProcessor(Aggregator):
+    """Aggregates emissions into per-stage :class:`LogHistogram`\\ s."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.histograms = {stage: LogHistogram(stage) for stage in STAGES}
-        self._handlers: dict[type, Callable] = {
-            NotificationReceived: self._on_ingest,
-            BatchIngested: self._on_ingest,
-            GraphPropagation: self._on_detect,
-            ConditionEvaluated: self._on_condition,
-            RuleExecution: self._on_rule,
-            ShardHop: self._on_shard_hop,
-            DetachedQueueWait: self._on_detached_wait,
-            WireRequest: self._on_wire,
-        }
+        action = self.histograms["action"].observe
+        action_async = self.histograms["action_async"].observe
+        commit = self.histograms["commit"].observe
 
-    def _on_ingest(self, event: TraceEvent) -> None:
-        self.histograms["ingest"].observe(event.duration_ms)
+        def on_rule(fields: dict, duration_ms: float) -> None:
+            commit_ms = fields["commit_ms"]
+            action_ms = duration_ms - fields["condition_ms"] - commit_ms
+            observe = action_async if fields["lane"] == "async" else action
+            observe(action_ms if action_ms > 0.0 else 0.0)
+            if commit_ms > 0.0:
+                commit(commit_ms)
 
-    def _on_detect(self, event: GraphPropagation) -> None:
-        self.histograms["detect"].observe(event.duration_ms)
+        def duration(stage: str) -> Reducer:
+            observe = self.histograms[stage].observe
+            return lambda fields, duration_ms: observe(duration_ms)
 
-    def _on_condition(self, event: ConditionEvaluated) -> None:
-        self.histograms["condition"].observe(event.duration_ms)
+        def wait(stage: str) -> Reducer:
+            observe = self.histograms[stage].observe
+            return lambda fields, duration_ms: observe(fields["wait_ms"])
 
-    def _on_rule(self, event: RuleExecution) -> None:
-        action_ms = event.duration_ms - event.condition_ms - event.commit_ms
-        stage = "action_async" if event.lane == "async" else "action"
-        self.histograms[stage].observe(max(action_ms, 0.0))
-        if event.commit_ms > 0.0:
-            self.histograms["commit"].observe(event.commit_ms)
-
-    def _on_shard_hop(self, event: ShardHop) -> None:
-        self.histograms["shard_hop"].observe(event.wait_ms)
-
-    def _on_detached_wait(self, event: DetachedQueueWait) -> None:
-        self.histograms["detached_wait"].observe(event.wait_ms)
-
-    def _on_wire(self, event: WireRequest) -> None:
-        self.histograms["wire"].observe(event.duration_ms)
-
-    def handle(self, event: TraceEvent) -> None:
-        handler = self._handlers.get(type(event))
-        if handler is not None:
-            handler(event)
+        self._reducers.update({
+            NotificationReceived: duration("ingest"),
+            BatchIngested: duration("ingest"),
+            GraphPropagation: duration("detect"),
+            ConditionEvaluated: duration("condition"),
+            RuleExecution: on_rule,
+            ShardHop: wait("shard_hop"),
+            DetachedQueueWait: wait("detached_wait"),
+            WireRequest: duration("wire"),
+        })
 
     def percentiles(self) -> dict[str, dict]:
         """p50/p95/p99 per stage, omitting stages with no samples."""

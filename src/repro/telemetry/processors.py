@@ -7,6 +7,15 @@
   text renderer that rebuilds the span tree (CLI ``trace``).
 * :class:`TimingProcessor` — per-rule / per-event latency histograms.
 
+A processor consumes emissions in one of two ways (or both). A
+*recording* processor defines ``handle(event)`` and receives the frozen
+:class:`~repro.telemetry.events.TraceEvent` — of every class, or of the
+classes named in ``subscriptions``. An *aggregator*
+(:class:`Aggregator`) publishes ``reducers()`` — per event class, a
+function of ``(fields, duration_ms)`` — and never causes an event
+object to be built: the hub materialises one per emission only when a
+recording processor will keep it.
+
 Processors are synchronous and must be cheap; the hub isolates their
 failures, but a slow processor still slows the instrumented paths.
 """
@@ -19,6 +28,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from repro.telemetry.events import (
+    ALL_EVENT_TYPES,
     BatchIngested,
     BufferEviction,
     ChannelMessage,
@@ -40,15 +50,50 @@ from repro.telemetry.events import (
     WalFlush,
 )
 
+#: ``reduce(fields, duration_ms)``: ``fields`` holds the emission's
+#: stage-specific fields with the event class's defaults filled in;
+#: ``duration_ms`` is 0.0 for point events.
+Reducer = Callable[[dict, float], None]
+
 
 class TelemetryProcessor:
-    """Base class: receives every event emitted by the hub."""
+    """Base class: by default, receives every event the hub emits."""
+
+    #: the event classes ``handle`` wants; None means all of them
+    subscriptions: Optional[tuple[type[TraceEvent], ...]] = None
 
     def handle(self, event: TraceEvent) -> None:
         raise NotImplementedError
 
+    def reducers(self) -> dict[type[TraceEvent], Reducer]:
+        """Per event class, a function fed without building an event."""
+        return {}
+
     def close(self) -> None:
         """Release resources (files, sockets); the default has none."""
+
+
+class Aggregator(TelemetryProcessor):
+    """A processor that only folds emissions into running totals.
+
+    Subclasses fill ``self._reducers`` at construction, binding every
+    counter and histogram they touch there, so an emission costs the
+    arithmetic and nothing else.
+    """
+
+    subscriptions = ()
+
+    def __init__(self) -> None:
+        self._reducers: dict[type[TraceEvent], Reducer] = {}
+
+    def reducers(self) -> dict[type[TraceEvent], Reducer]:
+        return self._reducers
+
+    def handle(self, event: TraceEvent) -> None:
+        """Reduce a ready-made event (replayed logs, unit tests)."""
+        reduce = self._reducers.get(type(event))
+        if reduce is not None:
+            reduce(vars(event), event.duration_ms)
 
 
 # =========================================================================
@@ -138,135 +183,173 @@ class MetricsRegistry:
         return counter.value if counter is not None else default
 
     def to_dict(self) -> dict:
+        """Every metric that has counted something (aggregators bind
+        theirs up front, long before the first emission)."""
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
+            "counters": {
+                n: c.value for n, c in sorted(self.counters.items()) if c.value
+            },
             "histograms": {
-                n: h.summary() for n, h in sorted(self.histograms.items())
+                n: h.summary()
+                for n, h in sorted(self.histograms.items()) if h.count
             },
         }
+
+
+class _CounterFamily(dict):
+    """``<prefix><label>`` counters, bound on first sight of a label."""
+
+    def __init__(self, registry: MetricsRegistry, prefix: str):
+        self._registry = registry
+        self._prefix = prefix
+
+    def __missing__(self, label: str) -> Counter:
+        counter = self[label] = self._registry.counter(
+            f"{self._prefix}{label}"
+        )
+        return counter
 
 
 # =========================================================================
 # Built-in processors
 # =========================================================================
 
-class CounterProcessor(TelemetryProcessor):
-    """Aggregates trace events into a :class:`MetricsRegistry`.
+class CounterProcessor(Aggregator):
+    """Aggregates emissions into a :class:`MetricsRegistry`.
 
     This registry supersedes the scattered per-module stats objects
     (``DetectorStats``, ``SchedulerStats``, ...): every counter those
     structs maintained has a named equivalent here, derived from the
     same instrumentation points (see ``tests/telemetry/test_parity``).
-    Span durations additionally land in per-stage histograms
-    (``notify.ms``, ``rule.ms``, ``wal.flush.ms``, ...).
+    The durations of the built-in span classes additionally land in
+    per-stage histograms (``notify.ms``, ``rule.ms``, ``wal.flush.ms``,
+    ...). An aggregator: no event object is built on its account.
     """
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._handlers: dict[type, Callable] = {
-            NotificationReceived: self._on_notification,
-            NotificationSuppressed: self._on_suppressed,
-            RuleTriggered: self._on_trigger,
-            DetachedDispatch: self._on_detached,
-            DetachedOverflow: self._on_detached_overflow,
-            BatchIngested: self._on_batch,
-            Detection: self._on_detection,
-            ConditionEvaluated: self._on_condition,
-            RuleExecution: self._on_rule,
-            SubtransactionBoundary: self._on_subtxn,
-            TransactionSpan: self._on_txn,
-            WalFlush: self._on_wal_flush,
-            BufferEviction: self._on_eviction,
-            GlobalEventSent: self._on_global_sent,
-            GlobalEventReceived: self._on_global_received,
-            GlobalDetectionDelivered: self._on_global_delivered,
-            ChannelMessage: self._on_channel,
+        super().__init__()
+        self.registry = registry = MetricsRegistry()
+        counter = registry.counter
+        notifications = counter("detector.notifications")
+        raises = counter("detector.raises")
+        matched = counter("detector.matched")
+        suppressed = counter("detector.suppressed")
+        batches = counter("detector.batches")
+        overflows = counter("detached.overflows")
+        overflows_by_policy = _CounterFamily(registry, "detached.overflows.")
+        detections = counter("graph.detections")
+        detections_by_context = _CounterFamily(registry, "graph.detections.")
+        subtransactions = _CounterFamily(registry, "txn.sub_")
+        transactions = _CounterFamily(registry, "txn.")
+        flushes = counter("wal.flushes")
+        records = counter("wal.records")
+        received = counter("global.received")
+        dropped = counter("global.dropped")
+        channel = _CounterFamily(registry, "channel.")
+        rule_outcomes = {
+            "completed": counter("rules.executions"),
+            "rejected": counter("rules.condition_rejections"),
+            "failed": counter("rules.failures"),
         }
 
-    def _on_notification(self, event: NotificationReceived) -> None:
-        # Explicit raises are not Notify calls; DetectorStats counts
-        # only the latter, and the registry mirrors that split.
-        if event.source == "explicit":
-            self.registry.counter("detector.raises").inc()
-        else:
-            self.registry.counter("detector.notifications").inc()
-        self.registry.counter("detector.matched").inc(event.matched)
+        def on_notification(fields: dict, duration_ms: float) -> None:
+            # Explicit raises are not Notify calls; DetectorStats counts
+            # only the latter, and the registry mirrors that split.
+            if fields["source"] == "explicit":
+                raises.value += 1
+            else:
+                notifications.value += 1
+            matched.value += fields["matched"]
 
-    def _on_suppressed(self, event: NotificationSuppressed) -> None:
-        self.registry.counter("detector.notifications").inc()
-        self.registry.counter("detector.suppressed").inc()
+        def on_suppressed(fields: dict, duration_ms: float) -> None:
+            notifications.value += 1
+            suppressed.value += 1
 
-    def _on_trigger(self, event: RuleTriggered) -> None:
-        self.registry.counter("rules.triggers").inc()
+        def on_detached_overflow(fields: dict, duration_ms: float) -> None:
+            overflows.value += 1
+            overflows_by_policy[fields["policy"]].value += 1
 
-    def _on_detached(self, event: DetachedDispatch) -> None:
-        self.registry.counter("detector.detached_dispatches").inc()
+        def on_batch(fields: dict, duration_ms: float) -> None:
+            # A batch is N notifications ingested under one span; mirror
+            # the per-item counters DetectorStats keeps, plus the batch
+            # count.
+            batches.value += 1
+            if fields["source"] == "explicit":
+                raises.value += fields["size"]
+            else:
+                notifications.value += fields["size"]
+            matched.value += fields["matched"]
 
-    def _on_detached_overflow(self, event: DetachedOverflow) -> None:
-        self.registry.counter("detached.overflows").inc()
-        self.registry.counter(f"detached.overflows.{event.policy}").inc()
+        def on_detection(fields: dict, duration_ms: float) -> None:
+            detections.value += 1
+            detections_by_context[fields["context"]].value += 1
 
-    def _on_batch(self, event: BatchIngested) -> None:
-        # A batch is N notifications ingested under one span; mirror the
-        # per-item counters DetectorStats keeps, plus the batch count.
-        self.registry.counter("detector.batches").inc()
-        if event.source == "explicit":
-            self.registry.counter("detector.raises").inc(event.size)
-        else:
-            self.registry.counter("detector.notifications").inc(event.size)
-        self.registry.counter("detector.matched").inc(event.matched)
+        def on_rule(fields: dict, duration_ms: float) -> None:
+            outcome = rule_outcomes.get(fields["outcome"])
+            if outcome is not None:
+                outcome.value += 1
 
-    def _on_detection(self, event: Detection) -> None:
-        self.registry.counter("graph.detections").inc()
-        self.registry.counter(f"graph.detections.{event.context}").inc()
+        def on_wal_flush(fields: dict, duration_ms: float) -> None:
+            flushes.value += 1
+            records.value += fields["records"]
 
-    def _on_condition(self, event: ConditionEvaluated) -> None:
-        self.registry.counter("rules.conditions_evaluated").inc()
+        def on_global_received(fields: dict, duration_ms: float) -> None:
+            received.value += 1
+            if not fields["known"]:
+                dropped.value += 1
 
-    def _on_subtxn(self, event: SubtransactionBoundary) -> None:
-        self.registry.counter(f"txn.sub_{event.kind}").inc()
+        def count(name: str) -> Reducer:
+            bound = counter(name)
 
-    def _on_txn(self, event: TransactionSpan) -> None:
-        self.registry.counter(f"txn.{event.outcome}").inc()
+            def reduce(fields: dict, duration_ms: float) -> None:
+                bound.value += 1
 
-    def _on_wal_flush(self, event: WalFlush) -> None:
-        self.registry.counter("wal.flushes").inc()
-        self.registry.counter("wal.records").inc(event.records)
+            return reduce
 
-    def _on_eviction(self, event: BufferEviction) -> None:
-        self.registry.counter("buffer.evictions").inc()
+        def count_by(family: _CounterFamily, field: str) -> Reducer:
+            def reduce(fields: dict, duration_ms: float) -> None:
+                family[fields[field]].value += 1
 
-    def _on_global_sent(self, event: GlobalEventSent) -> None:
-        self.registry.counter("global.sent").inc()
+            return reduce
 
-    def _on_global_received(self, event: GlobalEventReceived) -> None:
-        self.registry.counter("global.received").inc()
-        if not event.known:
-            self.registry.counter("global.dropped").inc()
+        counted: dict[type[TraceEvent], Reducer] = {
+            NotificationReceived: on_notification,
+            NotificationSuppressed: on_suppressed,
+            RuleTriggered: count("rules.triggers"),
+            DetachedDispatch: count("detector.detached_dispatches"),
+            DetachedOverflow: on_detached_overflow,
+            BatchIngested: on_batch,
+            Detection: on_detection,
+            ConditionEvaluated: count("rules.conditions_evaluated"),
+            RuleExecution: on_rule,
+            SubtransactionBoundary: count_by(subtransactions, "kind"),
+            TransactionSpan: count_by(transactions, "outcome"),
+            WalFlush: on_wal_flush,
+            BufferEviction: count("buffer.evictions"),
+            GlobalEventSent: count("global.sent"),
+            GlobalEventReceived: on_global_received,
+            GlobalDetectionDelivered: count("global.delivered"),
+            ChannelMessage: count_by(channel, "kind"),
+        }
+        for cls in ALL_EVENT_TYPES:
+            reduce = counted.get(cls)
+            if cls.is_span:
+                reduce = _timed(registry.histogram(f"{cls.stage}.ms"), reduce)
+            if reduce is not None:
+                self._reducers[cls] = reduce
 
-    def _on_global_delivered(self, event: GlobalDetectionDelivered) -> None:
-        self.registry.counter("global.delivered").inc()
 
-    def _on_channel(self, event: ChannelMessage) -> None:
-        self.registry.counter(f"channel.{event.kind}").inc()
+def _timed(histogram: Histogram, first: Optional[Reducer]) -> Reducer:
+    """Run ``first`` (if any), then observe the span's duration."""
+    observe = histogram.observe
+    if first is None:
+        return lambda fields, duration_ms: observe(duration_ms)
 
-    def _on_rule(self, event: RuleExecution) -> None:
-        r = self.registry
-        if event.outcome == "completed":
-            r.counter("rules.executions").inc()
-        elif event.outcome == "rejected":
-            r.counter("rules.condition_rejections").inc()
-        elif event.outcome == "failed":
-            r.counter("rules.failures").inc()
+    def reduce(fields: dict, duration_ms: float) -> None:
+        first(fields, duration_ms)
+        observe(duration_ms)
 
-    def handle(self, event: TraceEvent) -> None:
-        handler = self._handlers.get(type(event))
-        if handler is not None:
-            handler(event)
-        if event.is_span:
-            self.registry.histogram(f"{event.stage}.ms").observe(
-                event.duration_ms
-            )
+    return reduce
 
 
 class TimingProcessor(TelemetryProcessor):
@@ -278,6 +361,10 @@ class TimingProcessor(TelemetryProcessor):
       (the cost of the data-flow cascade one occurrence causes);
     * ``wal.flush`` — log force latency.
     """
+
+    subscriptions = (
+        RuleExecution, ConditionEvaluated, GraphPropagation, WalFlush,
+    )
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()

@@ -131,6 +131,16 @@ class TestQuickSet:
         # Two back-to-back runs of the same code sit within the band.
         assert check(path, tolerance=3.0) == []
 
+    def test_facade_entry_prices_three_telemetry_settings(self, tmp_path):
+        """ED-1 through ``Sentinel``: off / default / recording are all
+        recorded in one gateable point."""
+        from repro.bench.trajectory import QUICK_BENCHMARKS, run_ed1_facade
+
+        assert QUICK_BENCHMARKS["ED-1-facade"][0] == "us_per_event"
+        samples = run_ed1_facade(events=200)
+        assert set(samples) == {"telemetry_off", "default", "recording"}
+        assert all(v > 0 for v in samples.values())
+
     def test_cli_tool_runs_and_gates(self, tmp_path):
         import subprocess
         import sys

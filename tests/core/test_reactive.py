@@ -92,6 +92,52 @@ class TestNotification:
         Stock("IBM", 1.0).sell_stock(42)
         assert fired[0].params.value("qty") == 42
 
+    def test_para_list_binds_positional_keyword_and_defaults(self, det):
+        class Order(Reactive):
+            @event(end="placed")
+            def place(self, item, qty=1, *, rush=False):
+                return item
+
+        nodes = Order.register_events(det)
+        fired = collect(det, nodes["placed"])
+        order = Order()
+        order.place("bolt")
+        order.place("nut", 3)
+        order.place(qty=5, item="washer", rush=True)
+
+        def params(occurrence):
+            return {
+                name: occurrence.params.value(name)
+                for name in ("item", "qty", "rush")
+            }
+
+        assert [params(o) for o in fired] == [
+            {"item": "bolt", "qty": 1, "rush": False},
+            {"item": "nut", "qty": 3, "rush": False},
+            {"item": "washer", "qty": 5, "rush": True},
+        ]
+
+    def test_unbindable_call_raises_the_methods_own_error(self, det):
+        Stock.register_events(det)
+        with pytest.raises(TypeError, match="sell_stock"):
+            Stock("IBM", 1.0).sell_stock()
+
+    def test_signature_is_resolved_once_at_class_creation(
+        self, det, monkeypatch
+    ):
+        nodes = Stock.register_events(det)
+        fired = collect(det, nodes["e1"])
+        stock = Stock("IBM", 1.0)
+        import inspect
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inspect.signature called per wrapped call")
+
+        monkeypatch.setattr(inspect, "signature", forbidden)
+        stock.sell_stock(42)
+        stock.sell_stock(qty=7)
+        assert [o.params.value("qty") for o in fired] == [42, 7]
+
     def test_method_still_returns_its_value(self, det):
         Stock.register_events(det)
         assert Stock("IBM", 1.0).sell_stock(7) == 7
