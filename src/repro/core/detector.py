@@ -45,6 +45,7 @@ from repro.core.rules import (
     reject_positional_rule_args,
 )
 from repro.core.scheduler import (
+    PendingSubtransaction,
     RuleActivation,
     RuleScheduler,
     SerialExecutor,
@@ -450,8 +451,7 @@ class LocalEventDetector:
         arguments = tuple((k, atomic(v)) for k, v in arguments)
         at = self.clock.tick()
         if txn_id is None:
-            current = self.current_transaction()
-            txn_id = current.top_level_id if current is not None else None
+            txn_id = self._top_level_id()
         # Inheritance property: a method invocation on a subclass
         # instance matches events declared on any ancestor class.
         candidates = [class_name]
@@ -514,8 +514,7 @@ class LocalEventDetector:
             )
         at = self.clock.tick()
         if txn_id is None:
-            current = self.current_transaction()
-            txn_id = current.top_level_id if current is not None else None
+            txn_id = self._top_level_id()
 
         def make(trace: Optional[str]) -> PrimitiveOccurrence:
             return PrimitiveOccurrence(
@@ -582,13 +581,7 @@ class LocalEventDetector:
             trace = telemetry.current_trace_id() if telemetry.active else None
             for node, (name, params) in zip(nodes, items):
                 at = self.clock.tick()
-                if txn_id is None:
-                    current = self.current_transaction()
-                    tid = (
-                        current.top_level_id if current is not None else None
-                    )
-                else:
-                    tid = txn_id
+                tid = self._top_level_id() if txn_id is None else txn_id
                 occurrence = PrimitiveOccurrence(
                     event_name=name,
                     at=at,
@@ -727,6 +720,8 @@ class LocalEventDetector:
                 rule_name=rule.name,
                 event_name=getattr(occurrence, "event_name", "?"),
             )
+        # current_transaction(), not the raw slot: a rule triggered from
+        # an action nests under that action's (now begun) subtransaction.
         activation = RuleActivation(
             rule, occurrence, parent_txn=self.current_transaction(),
             parent_span_id=parent_span_id, trace_id=trace_id,
@@ -784,7 +779,17 @@ class LocalEventDetector:
     # -- transaction context ---------------------------------------------------------
 
     def current_transaction(self) -> Optional[NestedTransaction]:
-        return getattr(self._local, "txn", None)
+        """The transaction this thread runs under; inside a rule, the
+        rule's subtransaction, begun by this call if it was pending."""
+        txn = getattr(self._local, "txn", None)
+        if txn.__class__ is PendingSubtransaction:
+            txn = self._local.txn = txn.begin()
+        return txn
+
+    def _top_level_id(self) -> Optional[int]:
+        """The id stamped on an occurrence; begins no subtransaction."""
+        txn = getattr(self._local, "txn", None)
+        return txn.top_level_id if txn is not None else None
 
     def set_current_transaction(
         self, txn: Optional[NestedTransaction]

@@ -13,7 +13,10 @@ with event signaling suppressed (conditions are side-effect-free and
 must not trigger rules), and if it returns true the action runs with
 signaling enabled, so actions can trigger further rules. Nested
 triggering is depth-first: the nested rules run to completion before
-the triggering action returns from its ``notify``.
+the triggering action returns from its ``notify``. The subtransaction
+is begun on first use (see :class:`PendingSubtransaction`): a rule
+whose condition is false or whose action never touches its
+transaction has nothing to undo, so it gets none.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from repro.errors import RuleExecutionError
 from repro.faults import registry as faults
 from repro.faults.retry import DETERMINISTIC_POLICY, call_with_retry
 from repro.telemetry.events import ConditionEvaluated, RuleExecution
-from repro.telemetry.hub import TelemetrySpan
 from repro.transactions.nested import NestedTransaction, NestedTransactionManager
 
 if TYPE_CHECKING:
@@ -68,6 +70,38 @@ class RuleActivation:
     @property
     def priority(self) -> int:
         return self.rule.priority
+
+
+class PendingSubtransaction:
+    """A rule's subtransaction that has not been begun yet.
+
+    While a rule runs inside a transaction, the scheduler parks one of
+    these in the detector's current-transaction slot.
+    :meth:`~repro.core.detector.LocalEventDetector.current_transaction`
+    begins the real :class:`NestedTransaction` the first time anything
+    asks for it — a lock, ``protect``, ``record_undo``, or a rule the
+    action triggers — and never returns the record itself.
+    ``top_level_id`` is the parent's, so stamping an occurrence's
+    ``txn_id`` begins nothing.
+    """
+
+    __slots__ = ("manager", "parent", "rule_name", "top_level_id", "begun")
+
+    def __init__(self, manager: NestedTransactionManager,
+                 parent: NestedTransaction, rule_name: str):
+        self.manager = manager
+        self.parent = parent
+        self.rule_name = rule_name
+        self.top_level_id = parent.top_level_id
+        #: the subtransaction, once something asked for it
+        self.begun: Optional[NestedTransaction] = None
+
+    def begin(self) -> NestedTransaction:
+        if self.begun is None:
+            self.begun = self.manager.begin_sub(
+                self.parent, label=f"rule:{self.rule_name}"
+            )
+        return self.begun
 
 
 @dataclass
@@ -124,6 +158,9 @@ class RuleScheduler:
     #: fires rule A ...). The paper supports "arbitrary levels" of
     #: nesting; a production system still needs a backstop.
     MAX_DEPTH = 64
+    #: failed activations kept in ``errors`` (each holds a traceback);
+    #: ``stats.failures`` counts them all
+    ERRORS_KEPT = 64
 
     def __init__(
         self,
@@ -147,6 +184,7 @@ class RuleScheduler:
         #: (a detector with no async rules never starts the loop thread)
         self._async_lane = None
         self._async_lane_lock = threading.Lock()
+        #: the latest ERRORS_KEPT failures, oldest first
         self.errors: list[RuleExecutionError] = []
         #: called with (phase, rule, occurrence, info) where phase is one
         #: of "start", "condition", "done", "failed" — debugger hook.
@@ -165,6 +203,14 @@ class RuleScheduler:
                 **info) -> None:
         for listener in self.listeners:
             listener(phase, rule, occurrence, info)
+
+    def _record_failure(self, error: RuleExecutionError) -> None:
+        """Count a failed activation and keep it among the latest few."""
+        self.stats.failures += 1
+        errors = self.errors
+        errors.append(error)
+        if len(errors) > self.ERRORS_KEPT:
+            del errors[0]
 
     # -- batch execution ------------------------------------------------------------
 
@@ -256,7 +302,7 @@ class RuleScheduler:
         from repro.core.async_executor import isolate
 
         return isolate(
-            self._run_one_async(activation),
+            self._cond_action(activation, awaits=True),
             [
                 (self._detector._local, "txn", None),
                 (self._local, "depth", self._depth()),
@@ -275,97 +321,34 @@ class RuleScheduler:
             # from blocking on itself.
             lane = self.async_lane.route()
             return lane.run(self._isolated(activation))
-        telemetry = self._detector.telemetry
-        if not telemetry.active:
-            return self._run_one(activation, None)
-        rule = activation.rule
-        with telemetry.span(
-            RuleExecution,
-            parent_id=activation.parent_span_id,
-            trace_id=activation.trace_id,
-            rule_name=rule.name,
-            coupling=rule.coupling.value,
-            depth=self._depth() + 1,
-        ) as span:
-            return self._run_one(activation, span)
-
-    def _run_one(self, activation: RuleActivation,
-                 span: Optional[TelemetrySpan]) -> None:
-        rule = activation.rule
-        depth = self._depth() + 1
-        if depth > self.MAX_DEPTH:
-            if span is not None:
-                # Not counted as a rule failure: the error is charged to
-                # the triggering rule whose action caused the recursion.
-                span.set(outcome="depth_exceeded")
-            raise RuleExecutionError(
-                rule.name,
-                "nesting",
-                RecursionError(f"rule nesting exceeded {self.MAX_DEPTH}"),
-            )
-        self.stats.max_depth_seen = max(self.stats.max_depth_seen, depth)
-        sub = None
-        if self.txn_manager is not None and activation.parent_txn is not None:
-            sub = self.txn_manager.begin_sub(
-                activation.parent_txn, label=f"rule:{rule.name}"
-            )
-        previous_txn = self._detector.current_transaction()
-        previous_rule = self.current_rule()
-        self._detector.set_current_transaction(sub or activation.parent_txn)
-        self._local.depth = depth
-        self._local.rule = rule
-        self._notify("start", rule, activation.occurrence, depth=depth)
+        # A sync action never suspends the bracket, so one send() runs
+        # it to the end; its errors propagate out of send().
         try:
-            # "The rule class can be both reactive and notifiable":
-            # executing a rule is itself a potential primitive event
-            # (class $RULE, method = rule name), enabling meta-rules.
-            self._signal_rule_event(rule, "begin")
-            executed = self._evaluate(rule, activation.occurrence, span)
-            self._signal_rule_event(rule, "end")
-            if sub is not None:
-                if span is not None:
-                    commit_start = perf_counter()
-                    sub.commit()
-                    span.set(
-                        commit_ms=(perf_counter() - commit_start) * 1000.0
-                    )
-                else:
-                    sub.commit()
-            if span is not None:
-                span.set(outcome="completed" if executed else "rejected")
-            self._notify("done", rule, activation.occurrence, depth=depth)
-        except Exception as exc:
-            if sub is not None:
-                sub.abort()
-            error = exc if isinstance(exc, RuleExecutionError) else (
-                RuleExecutionError(rule.name, "execution", exc)
-            )
-            self.stats.failures += 1
-            self.errors.append(error)
-            if span is not None:
-                span.set(outcome="failed")
-            self._notify("failed", rule, activation.occurrence,
-                         depth=depth, error=error)
-            if self.error_policy == "raise":
-                raise error from exc
-        finally:
-            self._local.depth = depth - 1
-            self._local.rule = previous_rule
-            self._detector.set_current_transaction(previous_txn)
+            self._cond_action(activation, awaits=False).send(None)
+        except StopIteration:
+            pass
 
-    # -- the async lane's coroutine twins ---------------------------------
-    #
-    # _run_one_async/_evaluate_async mirror run_one/_run_one/_evaluate
-    # statement for statement (keep them in lockstep when editing!):
-    # same subtransaction bracketing, depth bookkeeping, error policy,
-    # $RULE meta-events and telemetry, with exactly one difference —
-    # the action's awaitable is awaited, so the tasks of one priority
-    # class interleave on the lane's loop while each individual rule
-    # still runs its setup/commit synchronously within a step.
+    async def _cond_action(self, activation: RuleActivation,
+                           awaits: bool) -> None:
+        """The rule bracket both lanes run.
 
-    async def _run_one_async(self, activation: RuleActivation) -> None:
+        Depth check, the rule's subtransaction, ``$RULE`` signals,
+        condition, action, commit or abort, error policy, listener
+        phases and span stamping. Only the action call differs: with
+        ``awaits`` (the asyncio lane) an awaitable result is awaited,
+        so the tasks of one priority class interleave there while each
+        rule's set-up and commit still run within one step.
+
+        The subtransaction is only a :class:`PendingSubtransaction`
+        until something asks the detector for it; commit and abort
+        apply to it only if it was begun.
+        """
         rule = activation.rule
-        telemetry = self._detector.telemetry
+        occurrence = activation.occurrence
+        detector = self._detector
+        telemetry = detector.telemetry
+        local = self._local
+        depth = getattr(local, "depth", 0) + 1
         span = None
         if telemetry.active:
             span = telemetry.span(
@@ -374,138 +357,129 @@ class RuleScheduler:
                 trace_id=activation.trace_id,
                 rule_name=rule.name,
                 coupling=rule.coupling.value,
-                depth=self._depth() + 1,
-                lane="async",
+                depth=depth,
+                lane="async" if awaits else "sync",
             )
         try:
-            depth = self._depth() + 1
             if depth > self.MAX_DEPTH:
                 if span is not None:
+                    # Not counted as a rule failure: the error is charged
+                    # to the triggering rule whose action recursed.
                     span.set(outcome="depth_exceeded")
                 raise RuleExecutionError(
                     rule.name,
                     "nesting",
-                    RecursionError(
-                        f"rule nesting exceeded {self.MAX_DEPTH}"
-                    ),
+                    RecursionError(f"rule nesting exceeded {self.MAX_DEPTH}"),
                 )
-            self.stats.max_depth_seen = max(
-                self.stats.max_depth_seen, depth
-            )
-            sub = None
-            if (
-                self.txn_manager is not None
-                and activation.parent_txn is not None
-            ):
-                sub = self.txn_manager.begin_sub(
-                    activation.parent_txn, label=f"rule:{rule.name}"
+            stats = self.stats
+            if stats.max_depth_seen < depth:
+                stats.max_depth_seen = depth
+            txn = activation.parent_txn
+            pending = None
+            if txn is not None and self.txn_manager is not None:
+                txn = pending = PendingSubtransaction(
+                    self.txn_manager, txn, rule.name
                 )
-            previous_txn = self._detector.current_transaction()
-            previous_rule = self.current_rule()
-            self._detector.set_current_transaction(
-                sub or activation.parent_txn
-            )
-            self._local.depth = depth
-            self._local.rule = rule
-            self._notify("start", rule, activation.occurrence, depth=depth)
+            # Saved and restored raw: a pending record stays pending.
+            detector_local = detector._local
+            previous_txn = getattr(detector_local, "txn", None)
+            previous_rule = getattr(local, "rule", None)
+            detector_local.txn = txn
+            local.depth = depth
+            local.rule = rule
+            listeners = self.listeners
+            if listeners:
+                self._notify("start", rule, occurrence, depth=depth)
             try:
+                # "The rule class can be both reactive and notifiable":
+                # executing a rule is itself a potential primitive event
+                # (class $RULE, method = rule name), enabling meta-rules.
                 self._signal_rule_event(rule, "begin")
-                executed = await self._evaluate_async(
-                    rule, activation.occurrence, span
+                # Conditions are side-effect free: suppress event
+                # signaling so a condition calling an event-generating
+                # method does not trigger rules (paper §3.2.1's global
+                # acknowledge flag). The condition never awaits, so the
+                # flag — a plain thread local, not swapped per task —
+                # cannot leak across tasks on the asyncio lane.
+                condition_span = None
+                if span is not None:
+                    condition_span = telemetry.span(
+                        ConditionEvaluated, rule_name=rule.name
+                    )
+                satisfied = False
+                previous_suppressed = getattr(
+                    detector_local, "suppressed", False
                 )
+                detector_local.suppressed = True
+                try:
+                    satisfied = bool(rule.condition(occurrence))
+                except Exception as exc:
+                    raise RuleExecutionError(
+                        rule.name, "condition", exc
+                    ) from exc
+                finally:
+                    detector_local.suppressed = previous_suppressed
+                    if condition_span is not None:
+                        span.set(condition_ms=condition_span.close(
+                            satisfied=satisfied
+                        ))
+                if listeners:
+                    self._notify("condition", rule, occurrence,
+                                 satisfied=satisfied, depth=depth)
+                if satisfied:
+                    try:
+                        result = rule.action(occurrence)
+                        # Checked, not assumed: a sync action may ride
+                        # executor="async" too.
+                        if awaits and inspect.isawaitable(result):
+                            await result
+                    except RuleExecutionError:
+                        raise  # a nested rule failed; keep its report
+                    except Exception as exc:
+                        raise RuleExecutionError(
+                            rule.name, "action", exc
+                        ) from exc
+                    rule.executed_count += 1
+                    stats.executions += 1
+                else:
+                    stats.condition_rejections += 1
                 self._signal_rule_event(rule, "end")
+                sub = pending.begun if pending is not None else None
                 if sub is not None:
                     if span is not None:
                         commit_start = perf_counter()
                         sub.commit()
                         span.set(
-                            commit_ms=(
-                                perf_counter() - commit_start
-                            ) * 1000.0
+                            commit_ms=(perf_counter() - commit_start)
+                            * 1000.0
                         )
                     else:
                         sub.commit()
                 if span is not None:
-                    span.set(
-                        outcome="completed" if executed else "rejected"
-                    )
-                self._notify(
-                    "done", rule, activation.occurrence, depth=depth
-                )
+                    span.set(outcome="completed" if satisfied else "rejected")
+                if listeners:
+                    self._notify("done", rule, occurrence, depth=depth)
             except Exception as exc:
-                if sub is not None:
-                    sub.abort()
+                if pending is not None and pending.begun is not None:
+                    pending.begun.abort()
                 error = exc if isinstance(exc, RuleExecutionError) else (
                     RuleExecutionError(rule.name, "execution", exc)
                 )
-                self.stats.failures += 1
-                self.errors.append(error)
+                self._record_failure(error)
                 if span is not None:
                     span.set(outcome="failed")
-                self._notify("failed", rule, activation.occurrence,
-                             depth=depth, error=error)
+                if listeners:
+                    self._notify("failed", rule, occurrence,
+                                 depth=depth, error=error)
                 if self.error_policy == "raise":
                     raise error from exc
             finally:
-                self._local.depth = depth - 1
-                self._local.rule = previous_rule
-                self._detector.set_current_transaction(previous_txn)
+                local.depth = depth - 1
+                local.rule = previous_rule
+                detector_local.txn = previous_txn
         finally:
             if span is not None:
                 span.close()
-
-    async def _evaluate_async(self, rule: Rule, occurrence: Occurrence,
-                              span: Optional[TelemetrySpan] = None) -> bool:
-        """Coroutine twin of :meth:`_evaluate`.
-
-        The condition stays strictly synchronous (side-effect-free and
-        evaluated inline, so the suppression flag — a plain loop-thread
-        local, deliberately *not* task-swapped — cannot leak across an
-        await). Only the action's awaitable is awaited.
-        """
-        condition_span = None
-        if span is not None:
-            condition_span = self._detector.telemetry.span(
-                ConditionEvaluated, rule_name=rule.name
-            )
-        satisfied = False
-        try:
-            detector_local = self._detector._local
-            previous_suppressed = getattr(
-                detector_local, "suppressed", False
-            )
-            detector_local.suppressed = True
-            try:
-                satisfied = bool(rule.condition(occurrence))
-            except Exception as exc:
-                raise RuleExecutionError(
-                    rule.name, "condition", exc
-                ) from exc
-            finally:
-                detector_local.suppressed = previous_suppressed
-        finally:
-            if condition_span is not None:
-                span.set(
-                    condition_ms=condition_span.close(satisfied=satisfied)
-                )
-        self._notify("condition", rule, occurrence, satisfied=satisfied,
-                     depth=self._depth())
-        if not satisfied:
-            self.stats.condition_rejections += 1
-            return False
-        try:
-            result = rule.action(occurrence)
-            if inspect.isawaitable(result):
-                # Sync actions under executor="async" (and zero-arg
-                # coroutine functions _adapt wrapped) land here too.
-                await result
-        except RuleExecutionError:
-            raise  # a nested rule failed; keep the original report
-        except Exception as exc:
-            raise RuleExecutionError(rule.name, "action", exc) from exc
-        rule.executed_count += 1
-        self.stats.executions += 1
-        return True
 
     def _signal_rule_event(self, rule: Rule, modifier: str) -> None:
         detector = self._detector
@@ -515,52 +489,6 @@ class RuleScheduler:
             rule, RULE_CLASS, rule.name, modifier,
             {"rule": rule.name, "priority": rule.priority},
         )
-
-    def _evaluate(self, rule: Rule, occurrence: Occurrence,
-                  span: Optional[TelemetrySpan] = None) -> bool:
-        """Condition then action; returns True iff the action ran."""
-        # Conditions are side-effect free: suppress event signaling so a
-        # condition calling an event-generating method does not trigger
-        # rules (paper §3.2.1's global acknowledge flag).
-        condition_span = None
-        if span is not None:
-            condition_span = self._detector.telemetry.span(
-                ConditionEvaluated, rule_name=rule.name
-            )
-        satisfied = False
-        try:
-            # Inline equivalent of detector.signals_suppressed(): the
-            # contextmanager machinery is measurable at per-notify scale.
-            detector_local = self._detector._local
-            previous_suppressed = getattr(detector_local, "suppressed", False)
-            detector_local.suppressed = True
-            try:
-                satisfied = bool(rule.condition(occurrence))
-            except Exception as exc:
-                raise RuleExecutionError(
-                    rule.name, "condition", exc
-                ) from exc
-            finally:
-                detector_local.suppressed = previous_suppressed
-        finally:
-            if condition_span is not None:
-                span.set(
-                    condition_ms=condition_span.close(satisfied=satisfied)
-                )
-        self._notify("condition", rule, occurrence, satisfied=satisfied,
-                     depth=self._depth())
-        if not satisfied:
-            self.stats.condition_rejections += 1
-            return False
-        try:
-            rule.action(occurrence)
-        except RuleExecutionError:
-            raise  # a nested rule failed; keep the original report
-        except Exception as exc:
-            raise RuleExecutionError(rule.name, "action", exc) from exc
-        rule.executed_count += 1
-        self.stats.executions += 1
-        return True
 
     def shutdown(self) -> None:
         lane = self._async_lane
@@ -602,8 +530,9 @@ class DetachedRuleQueue:
 
     ``workers`` daemon threads drain the queue through ``runner`` (the
     facade's run-in-fresh-top-level-transaction body). Worker errors
-    are recorded in ``errors`` — a failing detached rule must not kill
-    the drain loop. Every overflow emits a
+    are counted in ``stats.errors`` and the latest kept in ``errors`` —
+    a failing detached rule must not kill the drain loop. Every
+    overflow emits a
     :class:`~repro.telemetry.events.DetachedOverflow` point.
     """
 
@@ -635,7 +564,8 @@ class DetachedRuleQueue:
         #: activations spilled with no sink configured (inspect/replay)
         self.spill_log: list[RuleActivation] = []
         self.stats = DetachedQueueStats()
-        self.errors: list[tuple[str, Exception]] = []
+        #: the latest 64 worker errors; ``stats.errors`` counts them all
+        self.errors: deque[tuple[str, Exception]] = deque(maxlen=64)
         self._queue: deque[RuleActivation] = deque()
         #: queue-residency (wait) accounting, updated under the lock
         self._wait_count = 0

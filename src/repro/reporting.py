@@ -78,7 +78,7 @@ def detector_health(detector: "LocalEventDetector") -> dict[str, Any]:
         "suppressed": detector._is_suppressed(),
         "collect_mode": detector.collect_mode,
         "shards": shard_health(detector.runtime),
-        "rule_errors": len(detector.scheduler.errors),
+        "rule_errors": detector.scheduler.stats.failures,
         "telemetry": telemetry_health(detector.telemetry),
     }
 

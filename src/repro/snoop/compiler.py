@@ -337,7 +337,7 @@ class CompiledDispatchEngine:
                                             listener(rule, occurrence)
                                     frame.append(RuleActivation(
                                         rule, occurrence,
-                                        parent_txn=current_txn,
+                                        parent_txn=det.current_transaction(),
                                     ))
                     if fan.is_global:
                         det._forward_global(occurrence)
@@ -368,7 +368,6 @@ class CompiledDispatchEngine:
         node = fan.node
         counts = node.detections_by_context
         dstats = self._stats
-        dlocal = self._local
         for ctx, parents, rules in fan.ctxs:
             gstats.detections += 1
             counts[ctx] = counts.get(ctx, 0) + 1
@@ -386,7 +385,7 @@ class CompiledDispatchEngine:
                             listener(rule, occurrence)
                     frame.append(RuleActivation(
                         rule, occurrence,
-                        parent_txn=getattr(dlocal, "txn", None),
+                        parent_txn=det.current_transaction(),
                     ))
 
     # -- compiled explicit events ------------------------------------------
@@ -494,8 +493,9 @@ class CompiledDispatchEngine:
 
     def _run_rule_fast(self, det: "LocalEventDetector", scheduler,
                        activation: RuleActivation) -> None:
-        """Inline cond/act execution mirroring ``RuleScheduler._run_one``
-        for the no-txn / no-listener / no-span case."""
+        """Inline cond/act execution mirroring
+        ``RuleScheduler._cond_action`` for the no-txn / no-listener /
+        no-span case."""
         rule = activation.rule
         slocal = scheduler._local
         depth = getattr(slocal, "depth", 0) + 1
@@ -540,8 +540,7 @@ class CompiledDispatchEngine:
             error = exc if isinstance(exc, RuleExecutionError) else (
                 RuleExecutionError(rule.name, "execution", exc)
             )
-            stats.failures += 1
-            scheduler.errors.append(error)
+            scheduler._record_failure(error)
             if scheduler.error_policy == "raise":
                 raise error from exc
         finally:

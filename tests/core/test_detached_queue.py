@@ -180,6 +180,22 @@ def test_worker_errors_are_recorded_not_fatal():
         queue.close(timeout=5)
 
 
+def test_worker_errors_kept_are_bounded():
+    def runner(act):
+        raise RuntimeError(act.rule.name)
+
+    queue = DetachedRuleQueue(runner, capacity=256, workers=1)
+    try:
+        for index in range(200):
+            queue.submit(activation(f"bad{index}"))
+        assert queue.join(timeout=10)
+        assert queue.stats.errors == 200
+        assert len(queue.errors) == 64
+        assert queue.errors[-1][0] == "bad199"  # the latest are kept
+    finally:
+        queue.close(timeout=5)
+
+
 # =========================================================================
 # Facade integration
 # =========================================================================

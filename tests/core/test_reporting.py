@@ -1,6 +1,8 @@
 """The shared reporting schema: one module builds every health/report
 payload, so the facade, detector and monitor can't drift apart."""
 
+import pytest
+
 from repro.reporting import (
     detached_queue_health,
     detector_health,
@@ -50,6 +52,30 @@ def test_report_dict_matches_schema():
     try:
         report = system.report()
         assert report.to_dict() == system_report_dict(report)
+    finally:
+        system.close()
+
+
+@pytest.mark.parametrize("dispatch", ["interpreted", "compiled"])
+def test_rule_errors_are_bounded_but_counted_exactly(dispatch):
+    """Every failed activation used to be kept, traceback and all, for
+    the life of the process; now the latest few are, and health() still
+    counts every one."""
+    system = Sentinel(name="app", error_policy="abort_rule",
+                      dispatch=dispatch, metrics=False)
+    try:
+        system.explicit_event("ev")
+
+        def fail(occurrence):
+            raise ValueError("boom")
+
+        system.rule("bad", "ev", action=fail)
+        for _ in range(1000):
+            system.raise_event("ev")
+        scheduler = system.detector.scheduler
+        assert len(scheduler.errors) <= 64
+        assert scheduler.stats.failures == 1000
+        assert system.health()["detector"]["rule_errors"] == 1000
     finally:
         system.close()
 

@@ -214,3 +214,17 @@ class TestServe:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+
+class TestProfileWorkload:
+    def test_profiles_a_checked_fixed_count_run(self):
+        tool = Path(__file__).resolve().parents[1] / "tools" / "profile_workload.py"
+        result = subprocess.run(
+            [sys.executable, str(tool), "--workload", "detect.local",
+             "--seed", "3", "--events", "300"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "detect.local seed 3: 300 operations" in result.stdout
+        assert "0 mismatches" in result.stdout
+        assert "cumulative" in result.stdout
