@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import time
-from functools import partial
 from statistics import median
 from typing import Any, Callable, Optional, Union
 
@@ -56,23 +55,16 @@ def _per_event_us(run: Callable[[], int]) -> float:
     return (elapsed / max(events, 1)) * 1e6
 
 
-def run_ed1(events: int = 3000,
-            dispatch: str = "interpreted") -> dict[str, float]:
+def run_ed1(events: int = 3000) -> dict[str, float]:
     """ED-1: wrapped (Notify-inserted) method call cost, us/event."""
     from repro.bench.workload import ReactiveSchema
     from repro.core.detector import LocalEventDetector
 
-    # Compiled dispatch builds its plan lazily on the first notify and
-    # warms per-type caches; a short untimed prefix keeps the recorded
-    # point at steady state (the interpreted path has no such ramp).
-    warmup = events // 10 if dispatch == "compiled" else 0
     samples: dict[str, float] = {}
     schema = ReactiveSchema(n_classes=1, n_methods=1)
 
-    det = LocalEventDetector(name="ed1-bare", dispatch=dispatch)
+    det = LocalEventDetector(name="ed1-bare")
     schema.install(det)
-    for __ in range(warmup):
-        schema.signal(det, 0, 0)
 
     def no_rule() -> int:
         for __ in range(events):
@@ -82,11 +74,9 @@ def run_ed1(events: int = 3000,
     samples["no_rule"] = _per_event_us(no_rule)
     det.shutdown()
 
-    det = LocalEventDetector(name="ed1-ruled", dispatch=dispatch)
+    det = LocalEventDetector(name="ed1-ruled")
     nodes = schema.install(det)
     det.rule("r", nodes[0], action=lambda occ: None)
-    for __ in range(warmup):
-        schema.signal(det, 0, 0)
 
     def with_rule() -> int:
         for __ in range(events):
@@ -136,21 +126,18 @@ def run_ed1_facade(events: int = 3000) -> dict[str, float]:
     return samples
 
 
-def run_ed2(length: int = 1500,
-            dispatch: str = "interpreted") -> dict[str, float]:
+def run_ed2(length: int = 1500) -> dict[str, float]:
     """ED-2: composite detection per operator over a stream, us/event."""
     from repro.bench import EventStream, ReactiveSchema, make_expression
     from repro.core.detector import LocalEventDetector
 
     samples: dict[str, float] = {}
     for operator in ("AND", "SEQ", "NOT"):
-        det = LocalEventDetector(name=f"ed2-{operator}", dispatch=dispatch)
+        det = LocalEventDetector(name=f"ed2-{operator}")
         schema = ReactiveSchema(n_classes=1, n_methods=3)
         leaves = schema.install(det)
         expr = make_expression(det, operator, leaves)
         det.rule("r", expr, action=lambda occ: None)
-        if dispatch == "compiled":
-            schema.signal(det, 0, 0)  # build the dispatch plan untimed
         stream = EventStream(schema, length=length, seed=7)
         samples[operator] = _per_event_us(lambda: stream.pump(det))
         assert det.graph.stats.detections > 0
@@ -158,14 +145,13 @@ def run_ed2(length: int = 1500,
     return samples
 
 
-def run_rm1(raises: int = 400,
-            dispatch: str = "interpreted") -> dict[str, float]:
+def run_rm1(raises: int = 400) -> dict[str, float]:
     """RM-1: rule-fanout dispatch cost, us/event, at 1/10/100 rules."""
     from repro.core.detector import LocalEventDetector
 
     samples: dict[str, float] = {}
     for n_rules in (1, 10, 100):
-        det = LocalEventDetector(name=f"rm1-{n_rules}", dispatch=dispatch)
+        det = LocalEventDetector(name=f"rm1-{n_rules}")
         det.explicit_event("e")
         fired = {"n": 0}
         for i in range(n_rules):
@@ -173,8 +159,6 @@ def run_rm1(raises: int = 400,
                 f"r{i}", "e",
                 action=lambda occ: fired.__setitem__("n", fired["n"] + 1),
             )
-        if dispatch == "compiled":
-            det.raise_event("e")  # build the dispatch plan untimed
 
         def pump() -> int:
             for __ in range(raises):
@@ -269,24 +253,13 @@ def run_async_actions(events: int = 64,
 
 
 #: name -> (unit, runner); the set the core trajectory tracks.
-#: The ``-compiled`` entries rerun the same workloads under
-#: ``dispatch="compiled"`` so both engines leave a gated trajectory;
 #: ``ED-1-facade`` prices telemetry through ``Sentinel`` (off /
 #: default / recording).
 QUICK_BENCHMARKS: dict[str, tuple[str, Callable[[], dict[str, float]]]] = {
     "ED-1": ("us_per_event", run_ed1),
-    "ED-1-compiled": (
-        "us_per_event", partial(run_ed1, dispatch="compiled")
-    ),
     "ED-1-facade": ("us_per_event", run_ed1_facade),
     "ED-2": ("us_per_event", run_ed2),
-    "ED-2-compiled": (
-        "us_per_event", partial(run_ed2, dispatch="compiled")
-    ),
     "RM-1": ("us_per_event", run_rm1),
-    "RM-1-compiled": (
-        "us_per_event", partial(run_rm1, dispatch="compiled")
-    ),
     "serving_loopback": ("events_per_sec", run_serving_loopback),
     "async-actions": ("events_per_sec", run_async_actions),
 }

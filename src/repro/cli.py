@@ -258,7 +258,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     tenants = [Tenant.parse_spec(spec) for spec in args.tenant or []]
     system = Sentinel(
         directory=args.directory, name=args.name, shards=args.shards,
-        dispatch=args.dispatch,
     )
     server = SentinelServer(
         system, args.host, args.port,
@@ -271,8 +270,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         Path(args.port_file).write_text(f"{server.host} {server.port}\n")
     tenant_names = ", ".join(t.name for t in server.tenants.all())
     print(f"serving {system.name!r} on {server.address} "
-          f"(tenants: {tenant_names}; dispatch: {system.dispatch}; "
-          f"async lane: on)",
+          f"(tenants: {tenant_names}; async lane: on)",
           flush=True)
     if monitor is not None:
         print(f"monitor on {monitor.url}", flush=True)
@@ -377,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: until SIGTERM/SIGINT)")
     serve.add_argument("--shards", type=int, default=1,
                        help="detection shards for the shared system")
-    serve.add_argument("--dispatch", choices=("interpreted", "compiled"),
-                       default="interpreted",
-                       help="detection engine for the shared system; "
-                            "'compiled' flattens the event graph into "
-                            "per-route dispatch plans (same semantics, "
-                            "lower per-event cost)")
     serve.add_argument("--directory", default=None,
                        help="database directory (default: in-memory)")
     serve.add_argument("--name", default="served",

@@ -27,7 +27,7 @@ Two pieces make the lane safe without touching the synchronous hot path:
   block on: the executor itself from foreign threads, a lazily created
   nested lane from its own loop thread. Nested cascades therefore run
   depth-first (the triggering ``notify`` returns only after the nested
-  rules finish), exactly like the interpreted oracle.
+  rules finish), exactly like the sync lanes.
 """
 
 from __future__ import annotations

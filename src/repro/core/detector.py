@@ -20,7 +20,6 @@ runs before the action continues (depth-first execution).
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -107,23 +106,8 @@ class LocalEventDetector:
         name: str = "app",
         telemetry: Optional[TelemetryHub] = None,
         shards: int = 1,
-        dispatch: Optional[str] = None,
     ):
-        if dispatch is None:
-            # The env override lets whole suites (CI stress legs) run
-            # under the compiled engine without touching call sites.
-            dispatch = os.environ.get("REPRO_DISPATCH", "interpreted")
-        if dispatch not in ("interpreted", "compiled"):
-            raise ValueError(
-                f"dispatch must be 'interpreted' or 'compiled', "
-                f"got {dispatch!r}"
-            )
         self.name = name
-        #: which execution backend signals route through. "interpreted"
-        #: is the seed's recursive graph walk; "compiled" overlays the
-        #: specialized engine from :mod:`repro.snoop.compiler` (installed
-        #: at the end of __init__, once the scheduler exists).
-        self.dispatch = dispatch
         self.clock = clock if clock is not None else LogicalClock()
         #: shared telemetry hub — dormant (near-no-op emit paths) until
         #: a processor is attached.
@@ -169,15 +153,6 @@ class LocalEventDetector:
         ] = []
         #: called with (rule, occurrence) on every rule trigger (debugger)
         self.trigger_listeners: list[Callable[[Rule, Any], None]] = []
-        #: compiled dispatch engine; the instance-attribute overrides
-        #: keep interpreted-mode detectors at literal zero overhead
-        self.engine = None
-        if dispatch == "compiled":
-            from repro.snoop.compiler import CompiledDispatchEngine
-
-            self.engine = CompiledDispatchEngine(self)
-            self.notify = self.engine.notify  # type: ignore[method-assign]
-            self.raise_event = self.engine.raise_event  # type: ignore[method-assign]
 
     # =====================================================================
     # Event definition API
@@ -802,8 +777,6 @@ class LocalEventDetector:
         """Forward occurrences of ``event_name`` to global listeners."""
         self.graph.get(event_name)  # must exist
         self._global_events.add(event_name)
-        # The compiled plan folds the global-forward flag per node.
-        self.graph.version += 1
 
     def add_global_listener(
         self, listener: Callable[[PrimitiveOccurrence], None]

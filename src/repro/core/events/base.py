@@ -72,7 +72,6 @@ class EventNode:
         self._context_counts[ctx] = previous + count
         if previous == 0:
             self._state[ctx] = self._new_state(ctx)
-        self.graph.version += 1
         for child in self.children:
             child.add_context(ctx, count)
 
@@ -85,7 +84,6 @@ class EventNode:
             self._state.pop(ctx, None)
         else:
             self._context_counts[ctx] = remaining
-        self.graph.version += 1
         for child in self.children:
             child.remove_context(ctx, count)
 

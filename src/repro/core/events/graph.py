@@ -77,12 +77,6 @@ class EventGraph:
         #: node -> shard assignment (a ``repro.core.sharding.ShardMap``);
         #: when None every node lands on shard 0.
         self.shard_map = None
-        #: monotonically increasing topology stamp. Bumped whenever the
-        #: routing-relevant shape changes: node registration/naming,
-        #: rule (un)subscription, and per-context counter edits. The
-        #: compiled dispatch engine (``repro.snoop.compiler``) compares
-        #: this against its plan and rebuilds lazily on mismatch.
-        self.version = 0
 
     # -- wiring ------------------------------------------------------------------
 
@@ -98,7 +92,6 @@ class EventGraph:
         """Called from ``EventNode.__init__``."""
         self._nodes.append(node)
         self.stats.nodes_created += 1
-        self.version += 1
         node.shard = (
             self.shard_map.assign(node) if self.shard_map is not None else 0
         )
@@ -122,7 +115,6 @@ class EventGraph:
         if existing is not None and existing is not node:
             raise DuplicateEvent(f"event name {name!r} is already defined")
         self._by_name[name] = node
-        self.version += 1
 
     def define(self, name: str, node: EventNode) -> EventNode:
         """Bind ``name`` to an existing node (event reuse, paper §3.1)."""

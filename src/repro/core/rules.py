@@ -228,9 +228,8 @@ class Rule:
             return
         self.since = now
         self.event.rule_subscribers.append(self)
-        self.event.add_context(self.context)  # bumps graph.version
+        self.event.add_context(self.context)
         self.enabled = True
-        self.event.graph.version += 1
 
     def unsubscribe(self) -> None:
         """Detach from the event node, decrementing context counters."""
@@ -238,9 +237,8 @@ class Rule:
             return
         if self in self.event.rule_subscribers:
             self.event.rule_subscribers.remove(self)
-        self.event.remove_context(self.context)  # bumps graph.version
+        self.event.remove_context(self.context)
         self.enabled = False
-        self.event.graph.version += 1
 
     # -- triggering ---------------------------------------------------------------
 

@@ -221,7 +221,6 @@ class Sentinel(SentinelAPI):
         activate: bool = True,
         metrics: bool = True,
         shards: int = 1,
-        dispatch: Optional[str] = None,
         detached_capacity: int = 256,
         detached_policy: str = "block",
         detached_workers: int = 2,
@@ -259,7 +258,6 @@ class Sentinel(SentinelAPI):
             name=name,
             telemetry=self.telemetry,
             shards=shards,
-            dispatch=dispatch,
         )
         ensure_system_events(self.detector)
         self.detector.detached_handler = self._run_detached
@@ -310,12 +308,6 @@ class Sentinel(SentinelAPI):
             self.activate()
 
     # -- plumbing convenience ---------------------------------------------------
-
-    @property
-    def dispatch(self) -> str:
-        """Which detection backend signals route through
-        (``"interpreted"`` or ``"compiled"``)."""
-        return self.detector.dispatch
 
     @property
     def rules(self):

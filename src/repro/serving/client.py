@@ -235,13 +235,6 @@ class SentinelClient(SentinelAPI):
         )
 
     @property
-    def dispatch(self) -> str:
-        """The server system's detection engine, from the hello
-        exchange ("interpreted" or "compiled"); remote behavior is
-        identical under both."""
-        return self.server_info.get("dispatch", "interpreted")
-
-    @property
     def async_lane(self) -> bool:
         """Whether the server supports ``watch(executor="async")``
         (advertised in the hello exchange; False for older servers)."""

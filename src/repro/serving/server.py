@@ -270,6 +270,13 @@ class SentinelServer:
         if self._closing.is_set():
             return
         self._closing.set()
+        # close() alone leaves the accept thread blocked in accept() on
+        # the closed fd; shutdown() wakes it so the join below is
+        # immediate instead of waiting out drain_timeout.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -397,10 +404,6 @@ class SentinelServer:
             "protocol": PROTOCOL_VERSION,
             "transport": transport,
             "transports": available_transports(),
-            # which detection engine the backing system runs
-            # ("interpreted" or "compiled") — informational: remote
-            # semantics are identical either way
-            "dispatch": self.system.dispatch,
             # capability flag: watch(executor="async") schedules the
             # recording rule on the system's asyncio lane
             "async_lane": True,

@@ -10,12 +10,6 @@ the same events and rules the :class:`~repro.snoop.builder.SpecBuilder`
 would.
 
 Use :func:`generate` to obtain the source and :func:`execute` to run it.
-
-The pipeline's *runtime* half lives in :mod:`repro.snoop.compiler`
-(re-exported here): where this module emits specification source ahead
-of time, :class:`~repro.snoop.compiler.CompiledDispatchEngine` compiles
-the live event graph itself into flattened dispatch plans, selected by
-``LocalEventDetector(dispatch="compiled")``.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from typing import Any, Optional
 
 from repro.errors import SnoopSemanticError
 from repro.snoop import ast
-from repro.snoop.compiler import CompiledDispatchEngine  # noqa: F401  (re-export)
 from repro.snoop.parser import parse
 
 

@@ -1,12 +1,11 @@
 """The asyncio execution lane: coroutine rule actions.
 
-The acceptance oracle is the synchronous interpreted scheduler: a rule
-set executed with ``executor="async"`` must trigger the same rules in
-the same order, apply the same error policy, and suppress condition
-side effects identically — across both dispatch engines and shard
-counts {1, 4}. On top of parity, the lane must deliver what threads
-cannot: actions of one priority class interleaving at ``await`` points
-on a single loop thread.
+The acceptance oracle is the synchronous scheduler: a rule set
+executed with ``executor="async"`` must trigger the same rules in the
+same order, apply the same error policy, and suppress condition side
+effects identically — at shard counts {1, 4}. On top of parity, the
+lane must deliver what threads cannot: actions of one priority class
+interleaving at ``await`` points on a single loop thread.
 """
 
 import asyncio
@@ -73,13 +72,11 @@ class TestLaneSelection:
 # Parity with the synchronous oracle
 # =========================================================================
 
-def build_system(dispatch: str, shards: int, lane: str):
+def build_system(shards: int, lane: str):
     """A mixed graph with one recording rule per (expression, context)
     pair, every rule in its own priority class so the execution order
     is fully deterministic on both lanes."""
-    det = LocalEventDetector(
-        shards=shards, dispatch=dispatch, name=f"{dispatch}-{shards}-{lane}"
-    )
+    det = LocalEventDetector(shards=shards, name=f"{shards}-{lane}")
     for name in "ab":
         det.explicit_event(name)
     e = det.event
@@ -114,13 +111,12 @@ def drive(det) -> None:
         det.raise_event(name, n=i)
 
 
-@pytest.mark.parametrize("dispatch", ["interpreted", "compiled"])
 @pytest.mark.parametrize("shards", [1, 4])
-def test_async_lane_matches_the_sync_oracle(dispatch, shards):
+def test_async_lane_matches_the_sync_oracle(shards):
     """Same events, same graph: the async lane triggers exactly what
     the sync lane does, in the same order, in every parameter context."""
-    oracle, oracle_hits = build_system(dispatch, shards, "sync")
-    candidate, candidate_hits = build_system(dispatch, shards, "async")
+    oracle, oracle_hits = build_system(shards, "sync")
+    candidate, candidate_hits = build_system(shards, "async")
     drive(oracle)
     drive(candidate)
     assert oracle_hits, "oracle produced no triggers — broken fixture"
@@ -208,7 +204,7 @@ def test_mixed_class_runs_sync_and_async_rules_concurrently():
 
 def test_nested_async_cascades_run_depth_first():
     """An async action raising an event waits for the triggered async
-    rule before continuing — the interpreted oracle's depth-first
+    rule before continuing — the sync lane's depth-first
     cascade, preserved across lane hops via nested-lane routing."""
     det = LocalEventDetector()
     det.explicit_event("outer")

@@ -60,6 +60,22 @@ class TestPrimitiveEvents:
         det.notify(None, "Unknown", "whatever", "end")
         assert det.stats.notifications == 1
 
+    def test_unknown_modifier_rejected_after_counting(self, det):
+        with pytest.raises(ValueError):
+            det.notify(None, "Stock", "set_price", "sideways")
+        assert det.stats.notifications == 1
+
+    def test_occurrence_instance_is_the_object_oid(self, det):
+        class Account:
+            oid = 77
+
+        target, other = Account(), Account()
+        node = det.primitive_event("dep", target, "end", "deposit")
+        fired = collect(det, node)
+        det.notify(other, "Account", "deposit", "end")
+        det.notify(target, "Account", "deposit", "end")
+        assert [occ.instance for occ in fired] == [Account.oid]
+
     def test_arguments_are_recorded_atomically(self, det):
         node = det.primitive_event("e", "S", "end", "m")
         fired = collect(det, node)
@@ -104,7 +120,8 @@ class TestSuppression:
         inner_fired = collect(det, inner_node)
 
         def sneaky_condition(occ):
-            det.notify(None, "S", "m", "end")  # would fire 'inner'
+            # would fire 'inner'; a suppressed notify matches nothing
+            assert det.notify(None, "S", "m", "end") == []
             return True
 
         ran = []
@@ -112,6 +129,76 @@ class TestSuppression:
         det.raise_event("outer")
         assert ran  # the rule itself ran
         assert inner_fired == []  # but its condition triggered nothing
+        assert det.stats.suppressed == 1
+
+
+class TestCascades:
+    def test_composite_triggered_action_nests_depth_first(self, det):
+        for name in ("a", "b", "done"):
+            det.explicit_event(name)
+        order = []
+
+        def chain(occ):
+            order.append("outer")
+            det.raise_event("done")
+            order.append("outer-end")
+
+        det.rule("outer", (det.event("a") & det.event("b")),
+                 context="chronicle", action=chain)
+        det.rule("inner", "done", action=lambda occ: order.append("inner"))
+        det.raise_event("a")
+        det.raise_event("b")
+        assert order == ["outer", "inner", "outer-end"]
+
+    def test_higher_priority_runs_first_regardless_of_definition(self, det):
+        det.explicit_event("e")
+        order = []
+        det.rule("low", "e", priority=1, action=lambda occ: order.append("low"))
+        det.rule("high", "e", priority=9,
+                 action=lambda occ: order.append("high"))
+        det.raise_event("e")
+        assert order == ["high", "low"]
+
+
+class TestLateChanges:
+    """Graph and rule-base edits take effect on the very next signal."""
+
+    def test_rule_added_after_traffic_fires(self, det):
+        det.explicit_event("e")
+        det.raise_event("e")
+        fired = collect(det, "e")
+        det.raise_event("e")
+        assert len(fired) == 1
+
+    def test_primitive_registered_after_traffic_routes(self, det):
+        det.explicit_event("e")
+        det.raise_event("e")
+        det.notify(None, "Account", "deposit", "end")
+        node = det.primitive_event("dep", "Account", "end", "deposit")
+        fired = collect(det, node)
+        assert det.notify(None, "Account", "deposit", "end")
+        assert len(fired) == 1
+
+    def test_disable_and_enable_take_effect_immediately(self, det):
+        det.explicit_event("e")
+        hits = []
+        det.rule("r", "e", action=hits.append)
+        det.raise_event("e")
+        det.rules.disable("r")
+        det.raise_event("e")
+        det.rules.enable("r")
+        det.raise_event("e")
+        assert len(hits) == 2
+
+    def test_context_activated_after_traffic_detects(self, det):
+        from repro.core.contexts import ParameterContext
+
+        node = det.explicit_event("e")
+        det.raise_event("e")
+        fired = collect(det, "e", context="cumulative")
+        det.raise_event("e")
+        assert node.detections_by_context == {ParameterContext.CUMULATIVE: 1}
+        assert len(fired) == 1
 
 
 class TestFlush:

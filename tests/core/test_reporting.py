@@ -1,8 +1,6 @@
 """The shared reporting schema: one module builds every health/report
 payload, so the facade, detector and monitor can't drift apart."""
 
-import pytest
-
 from repro.reporting import (
     detached_queue_health,
     detector_health,
@@ -56,13 +54,11 @@ def test_report_dict_matches_schema():
         system.close()
 
 
-@pytest.mark.parametrize("dispatch", ["interpreted", "compiled"])
-def test_rule_errors_are_bounded_but_counted_exactly(dispatch):
+def test_rule_errors_are_bounded_but_counted_exactly():
     """Every failed activation used to be kept, traceback and all, for
     the life of the process; now the latest few are, and health() still
     counts every one."""
-    system = Sentinel(name="app", error_policy="abort_rule",
-                      dispatch=dispatch, metrics=False)
+    system = Sentinel(name="app", error_policy="abort_rule", metrics=False)
     try:
         system.explicit_event("ev")
 

@@ -96,6 +96,7 @@ class TestErrors:
             det.raise_event("e")  # no exception escapes
             assert len(ran) == 1
             assert len(det.scheduler.errors) == 1
+            assert det.scheduler.stats.failures == 1
         finally:
             det.shutdown()
 

@@ -17,10 +17,10 @@ from repro.eventlog.replay import replay
 CONTEXTS = ("recent", "chronicle", "continuous", "cumulative")
 
 
-def build_system(shards: int, dispatch: str = "interpreted"):
+def build_system(shards: int):
     """A mixed graph (every binary operator plus NOT/A) with one rule
     per (expression, context) pair."""
-    det = LocalEventDetector(shards=shards, dispatch=dispatch)
+    det = LocalEventDetector(shards=shards)
     for name in "abcdef":
         det.explicit_event(name)
     e = det.event
@@ -67,36 +67,18 @@ def detections_by_node(det) -> dict:
 # Replay parity: the headline acceptance criterion
 # =========================================================================
 
-@pytest.mark.parametrize("dispatch", ["interpreted", "compiled"])
 @pytest.mark.parametrize("shards", [2, 4, 7])
-def test_replay_parity_all_contexts(shards, dispatch):
+def test_replay_parity_all_contexts(shards):
     """Same log, same graph: N shards detect exactly what 1 shard does,
-    in every parameter context, triggering rules in the same order —
-    under both dispatch engines."""
+    in every parameter context, triggering rules in the same order."""
     log = make_log()
-    single = build_system(1, dispatch=dispatch)
-    sharded = build_system(shards, dispatch=dispatch)
+    single = build_system(1)
+    sharded = build_system(shards)
     baseline = replay(log, single, mode="collect")
     candidate = replay(log, sharded, mode="collect")
     assert candidate.events_replayed == baseline.events_replayed
     assert candidate.triggered_rules() == baseline.triggered_rules()
     assert detections_by_node(sharded) == detections_by_node(single)
-
-
-@pytest.mark.parametrize("shards", [1, 4])
-def test_replay_parity_across_dispatch_modes(shards):
-    """The headline oracle for the compiled fast path: at the same
-    shard count, compiled dispatch replays the log bit-for-bit like the
-    interpreted engine — same trigger sequence, same per-node counts in
-    all four parameter contexts."""
-    log = make_log()
-    interpreted = build_system(shards, dispatch="interpreted")
-    compiled = build_system(shards, dispatch="compiled")
-    baseline = replay(log, interpreted, mode="collect")
-    candidate = replay(log, compiled, mode="collect")
-    assert candidate.events_replayed == baseline.events_replayed
-    assert candidate.triggered_rules() == baseline.triggered_rules()
-    assert detections_by_node(compiled) == detections_by_node(interpreted)
 
 
 def test_replay_parity_execute_mode():

@@ -52,7 +52,7 @@ class StalledServer:
             send_frame(
                 conn,
                 {"id": hello.get("id", 0), "ok": True,
-                 "result": {"server": "stalled", "dispatch": "interpreted"}},
+                 "result": {"server": "stalled"}},
                 codec, DEFAULT_MAX_FRAME,
             )
             if self.mode == "close":

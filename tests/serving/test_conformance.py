@@ -14,13 +14,6 @@ Set ``REPRO_SERVE_ADDR`` (plus optional ``REPRO_SERVE_TENANT`` /
 booted ``python -m repro serve`` instead of the in-process server —
 the CI serving job does exactly that. Scenario names are uniqued per
 test, so a long-lived shared server works.
-
-The local side runs under both detection engines (the ``local``
-fixture is parameterized over ``dispatch=``), so every scenario also
-pins compiled-dispatch parity against the served system.
-``REPRO_SERVE_DISPATCH`` selects the in-process server's engine; when
-the remote side is external it should match the booted server's
-``--dispatch``.
 """
 
 import os
@@ -81,10 +74,7 @@ def served():
             os.environ.get("REPRO_SERVE_TOKEN") or None,
         )
         return
-    system = Sentinel(
-        name="conformance", shards=2,
-        dispatch=os.environ.get("REPRO_SERVE_DISPATCH", "interpreted"),
-    )
+    system = Sentinel(name="conformance", shards=2)
     server = SentinelServer(
         system, tenants=[Tenant("conf", token="conf-token")]
     ).start()
@@ -95,9 +85,9 @@ def served():
         system.close()
 
 
-@pytest.fixture(params=("interpreted", "compiled"))
-def local(request):
-    system = Sentinel(name="local", dispatch=request.param)
+@pytest.fixture()
+def local():
+    system = Sentinel(name="local")
     try:
         yield system
     finally:
@@ -313,17 +303,6 @@ def test_ping_reports_healthy(local, remote):
         health = api.ping()
         assert health["healthy"] is True
         assert isinstance(health["name"], str)
-
-
-def test_hello_advertises_dispatch(local, remote):
-    """Both API implementations expose which engine runs detection;
-    the remote value comes from the wire hello."""
-    assert local.dispatch in ("interpreted", "compiled")
-    assert remote.dispatch in ("interpreted", "compiled")
-    assert remote.server_info["dispatch"] == remote.dispatch
-    expected = os.environ.get("REPRO_SERVE_DISPATCH")
-    if expected:
-        assert remote.dispatch == expected
 
 
 # =========================================================================

@@ -480,3 +480,20 @@ def test_close_is_idempotent(system):
     server = make_server(system, Tenant("t", token="t"))
     server.close()
     server.close()
+
+
+def test_close_with_idle_client_returns_promptly(system):
+    """The accept thread sits in accept() while a client idles; close()
+    must wake it rather than wait out the drain timeout."""
+    server = make_server(system, Tenant("t", token="t"))
+    idle = client(server, "t", "t")
+    try:
+        assert server.connections() == 1
+        accept_thread = server._accept_thread
+        start = time.perf_counter()
+        server.close()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+        assert not accept_thread.is_alive()
+    finally:
+        idle.close()
