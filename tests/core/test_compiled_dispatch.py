@@ -1,161 +1,26 @@
-"""The compiled dispatch fast path: ``dispatch="compiled"``.
+"""Checks kept from the retired compiled dispatch engine's parity suite.
 
-The compiled engine flattens the event graph into per-route subscriber
-arrays at first use and rebuilds them when the graph's topology stamp
-moves. Everything observable — returned occurrences, trigger order,
-stats, error behavior, telemetry traces — must match the interpreted
-engine bit-for-bit; these tests pin that contract beyond the replay
-oracle in ``test_sharding.py``.
+The compiled engine is gone; the interpreted notify/raise_event path is
+the only detection engine. These checks pinned behavior the compiled
+engine had to share with it — suppression, unknown-name rejection, rule
+error policies, detached coupling and collect-mode replay — and they
+now run against the one engine that remains. Their names are unchanged
+so each check's history stays traceable; ``[interpreted]`` names the
+engine the parametrised ones run on.
 """
-
-import time
 
 import pytest
 
-from repro import Sentinel, TraceLogProcessor
-from repro.core.contexts import ParameterContext
+from repro import Sentinel
 from repro.core.detector import LocalEventDetector
-from repro.errors import RuleExecutionError
+from repro.errors import RuleExecutionError, UnknownEvent
 
 
-CONTEXTS = ("recent", "chronicle", "continuous", "cumulative")
-DISPATCHES = ("interpreted", "compiled")
-
-
-class Account:
-    oid = 77
-
-
-@pytest.fixture(params=DISPATCHES)
+@pytest.fixture(params=("interpreted",))
 def det(request):
-    detector = LocalEventDetector(dispatch=request.param)
+    detector = LocalEventDetector()
     yield detector
     detector.shutdown()
-
-
-# =========================================================================
-# The dispatch= knob
-# =========================================================================
-
-def test_dispatch_defaults_to_interpreted(monkeypatch):
-    monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-    det = LocalEventDetector()
-    try:
-        assert det.dispatch == "interpreted"
-        assert det.engine is None
-    finally:
-        det.shutdown()
-
-
-def test_dispatch_env_override(monkeypatch):
-    """REPRO_DISPATCH selects the engine for call sites that don't
-    pass dispatch= (whole-suite CI legs)."""
-    monkeypatch.setenv("REPRO_DISPATCH", "compiled")
-    det = LocalEventDetector()
-    try:
-        assert det.dispatch == "compiled"
-        assert det.engine is not None
-    finally:
-        det.shutdown()
-
-
-def test_explicit_dispatch_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_DISPATCH", "compiled")
-    det = LocalEventDetector(dispatch="interpreted")
-    try:
-        assert det.dispatch == "interpreted"
-    finally:
-        det.shutdown()
-
-
-def test_unknown_dispatch_rejected():
-    with pytest.raises(ValueError, match="dispatch"):
-        LocalEventDetector(dispatch="jit")
-
-
-def test_sentinel_facade_threads_dispatch():
-    system = Sentinel(name="fast", dispatch="compiled")
-    try:
-        assert system.dispatch == "compiled"
-        assert system.detector.engine is not None
-    finally:
-        system.close()
-
-
-def test_interpreted_path_carries_no_engine_overhead():
-    """dispatch="interpreted" must not even consult the compiled
-    engine: notify/raise_event stay the plain class methods."""
-    det = LocalEventDetector(dispatch="interpreted")
-    try:
-        assert "notify" not in det.__dict__
-        assert "raise_event" not in det.__dict__
-    finally:
-        det.shutdown()
-
-
-# =========================================================================
-# Cross-mode parity beyond the replay oracle
-# =========================================================================
-
-def _pump(det):
-    """A workload touching method events, instance filters, explicit
-    events, composites, and every parameter context."""
-    fired = []
-    node = det.primitive_event("deposit", "Account", "end", "deposit")
-    det.primitive_event("other", "Other", "end", "op")
-    det.explicit_event("alarm")
-    combo = det.define("combo", (det.event("deposit") >> det.event("alarm")))
-    for ctx in CONTEXTS:
-        det.rule(f"r:{ctx}", node, context=ctx,
-                 action=lambda occ, c=ctx: fired.append((c, occ.at)))
-    det.rule("combo", combo,
-             action=lambda occ: fired.append(("combo", occ.start, occ.end)))
-    acct = Account()
-    occurrences = []
-    for i in range(5):
-        occurrences += det.notify(acct, "Account", "deposit", "end",
-                                  {"amount": 10 * i})
-        if i % 2 == 0:
-            occurrences.append(det.raise_event("alarm", i=i))
-    det.notify(None, "Unwatched", "op", "end", {})  # no route
-    return fired, occurrences, det
-
-
-def test_notify_parity_across_modes():
-    results = {}
-    for dispatch in DISPATCHES:
-        det = LocalEventDetector(dispatch=dispatch)
-        try:
-            fired, occurrences, det = _pump(det)
-            results[dispatch] = {
-                "fired": fired,
-                "events": [
-                    (o.event_name, o.at, o.class_name, o.instance,
-                     o.method_name, o.modifier, o.arguments, o.txn_id)
-                    for o in occurrences
-                ],
-                "notifications": det.stats.notifications,
-                "triggers": det.stats.triggers,
-                "detections": det.graph.stats.detections,
-                "propagations": det.graph.stats.propagations,
-                "by_context": {
-                    node.display_name: dict(node.detections_by_context)
-                    for node in det.graph._nodes
-                },
-            }
-        finally:
-            det.shutdown()
-    assert results["compiled"] == results["interpreted"]
-
-
-def test_instance_filter_parity(det):
-    target, other = Account(), Account()
-    node = det.primitive_event("dep", target, "end", "deposit")
-    hits = []
-    det.rule("r", node, action=lambda occ: hits.append(occ.instance))
-    det.notify(other, "Account", "deposit", "end", {})
-    det.notify(target, "Account", "deposit", "end", {})
-    assert hits == [Account.oid]
 
 
 def test_suppression_parity(det):
@@ -174,158 +39,41 @@ def test_suppression_parity(det):
     assert det.stats.suppressed == 1
 
 
-def test_unknown_modifier_parity(det):
-    with pytest.raises(ValueError):
-        det.notify(None, "Account", "deposit", "sideways", {})
-    assert det.stats.notifications == 1  # counted before the parse
-
-
 def test_raise_event_unknown_name_parity(det):
-    from repro.errors import UnknownEvent
-
     with pytest.raises(UnknownEvent):
         det.raise_event("ghost")
 
 
+def _boom(occ):
+    raise ValueError("boom")
+
+
 def test_rule_error_policy_parity():
-    results = {}
-    for dispatch in DISPATCHES:
-        det = LocalEventDetector(dispatch=dispatch, error_policy="abort_rule")
-        try:
-            det.explicit_event("e")
-
-            def boom(occ):
-                raise ValueError("boom")
-
-            det.rule("bad", "e", action=boom)
-            det.raise_event("e")
-            results[dispatch] = (
-                det.scheduler.stats.failures,
-                [str(err) for err in det.scheduler.errors],
-            )
-        finally:
-            det.shutdown()
-    assert results["compiled"] == results["interpreted"]
-    assert results["compiled"][0] == 1
+    det = LocalEventDetector(error_policy="abort_rule")
+    try:
+        det.explicit_event("e")
+        det.rule("bad", "e", action=_boom)
+        det.raise_event("e")
+        assert det.scheduler.stats.failures == 1
+        assert len(det.scheduler.errors) == 1
+        assert "boom" in str(det.scheduler.errors[0])
+    finally:
+        det.shutdown()
 
 
 def test_rule_error_raise_policy_compiled():
-    det = LocalEventDetector(dispatch="compiled", error_policy="raise")
+    det = LocalEventDetector(error_policy="raise")
     try:
         det.explicit_event("e")
-
-        def boom(occ):
-            raise ValueError("boom")
-
-        det.rule("bad", "e", action=boom)
+        det.rule("bad", "e", action=_boom)
         with pytest.raises(RuleExecutionError, match="action"):
             det.raise_event("e")
     finally:
         det.shutdown()
 
 
-def test_nested_cascade_order_parity():
-    """Actions raising further events nest depth-first identically."""
-    results = {}
-    for dispatch in DISPATCHES:
-        det = LocalEventDetector(dispatch=dispatch)
-        try:
-            for name in ("a", "b", "done"):
-                det.explicit_event(name)
-            order = []
-
-            def chain(occ):
-                order.append("outer")
-                det.raise_event("done")
-
-            det.rule("outer", (det.event("a") & det.event("b")),
-                     context="chronicle", action=chain)
-            det.rule("inner", "done", action=lambda occ: order.append("inner"))
-            det.raise_event("a")
-            det.raise_event("b")
-            results[dispatch] = order
-        finally:
-            det.shutdown()
-    assert results["compiled"] == results["interpreted"] == ["outer", "inner"]
-
-
-def test_priority_order_parity(det):
-    det.explicit_event("e")
-    order = []
-    det.rule("low", "e", priority=1, action=lambda occ: order.append("low"))
-    det.rule("high", "e", priority=9, action=lambda occ: order.append("high"))
-    det.raise_event("e")
-    assert order == ["high", "low"]
-
-
-# =========================================================================
-# Plan invalidation: topology edits take effect immediately
-# =========================================================================
-
-def test_rules_added_after_traffic_fire():
-    det = LocalEventDetector(dispatch="compiled")
-    try:
-        det.explicit_event("e")
-        det.raise_event("e")  # plan built with no subscribers
-        hits = []
-        det.rule("late", "e", action=hits.append)
-        det.raise_event("e")
-        assert len(hits) == 1
-    finally:
-        det.shutdown()
-
-
-def test_disabled_rule_stops_firing():
-    det = LocalEventDetector(dispatch="compiled")
-    try:
-        det.explicit_event("e")
-        hits = []
-        det.rule("r", "e", action=hits.append)
-        det.raise_event("e")
-        det.rules.disable("r")
-        det.raise_event("e")
-        det.rules.enable("r")
-        det.raise_event("e")
-        assert len(hits) == 2
-    finally:
-        det.shutdown()
-
-
-def test_primitive_registered_after_traffic_routes():
-    det = LocalEventDetector(dispatch="compiled")
-    try:
-        det.explicit_event("e")
-        det.raise_event("e")
-        node = det.primitive_event("dep", "Account", "end", "deposit")
-        hits = []
-        det.rule("r", node, action=hits.append)
-        assert det.notify(Account(), "Account", "deposit", "end", {})
-        assert len(hits) == 1
-    finally:
-        det.shutdown()
-
-
-def test_context_change_rebuilds_fan():
-    det = LocalEventDetector(dispatch="compiled")
-    try:
-        node = det.explicit_event("e")
-        det.raise_event("e")
-        hits = []
-        det.rule("r", "e", context="cumulative", action=hits.append)
-        det.raise_event("e")
-        assert node.detections_by_context.get(
-            ParameterContext.CUMULATIVE, 0) == 1
-        assert len(hits) == 1
-    finally:
-        det.shutdown()
-
-
-# =========================================================================
-# Delegated paths keep full semantics
-# =========================================================================
-
 def test_detached_coupling_in_compiled_mode():
-    system = Sentinel(name="fast-detached", dispatch="compiled")
+    system = Sentinel(name="fast-detached")
     try:
         system.explicit_event("e")
         hits = []
@@ -346,7 +94,7 @@ def test_collect_mode_in_compiled_mode():
         event_name="e", at=0.0, class_name="$EXPLICIT", instance=None,
         method_name=None, modifier=None, arguments=[], txn_id=None,
     ))
-    det = LocalEventDetector(dispatch="compiled")
+    det = LocalEventDetector()
     try:
         det.explicit_event("e")
         det.rule("r", "e", action=lambda occ: None)
@@ -354,64 +102,3 @@ def test_collect_mode_in_compiled_mode():
         assert report.triggered_rules() == ["r"]
     finally:
         det.shutdown()
-
-
-def test_telemetry_traces_identically_in_compiled_mode():
-    """With telemetry on, compiled mode hands the event to the
-    interpreted path so every span and stage stamp survives."""
-    shapes = {}
-    for dispatch in DISPATCHES:
-        system = Sentinel(name=f"traced-{dispatch}", dispatch=dispatch)
-        try:
-            trace = system.telemetry.attach(TraceLogProcessor())
-            system.explicit_event("e")
-            system.rule("r", "e", action=lambda occ: None)
-            trace.clear()
-            system.raise_event("e")
-            shapes[dispatch] = [type(e).__name__ for e in trace.events()]
-        finally:
-            system.close()
-    assert shapes["compiled"] == shapes["interpreted"]
-    assert shapes["compiled"]  # tracing actually produced spans
-
-
-def test_no_telemetry_emission_with_hub_idle():
-    """Zero-overhead guard, correctness half: with no processor
-    attached neither engine touches the telemetry hub."""
-    for dispatch in DISPATCHES:
-        det = LocalEventDetector(dispatch=dispatch)
-        try:
-            det.explicit_event("e")
-            det.rule("r", "e", action=lambda occ: None)
-            det.raise_event("e")
-            assert det.telemetry.active is False
-            trace = det.telemetry.attach(TraceLogProcessor())
-            det.telemetry.detach(trace)
-            assert trace.events() == []
-        finally:
-            det.shutdown()
-
-
-def test_compiled_is_not_slower_than_interpreted():
-    """Zero-overhead guard, timing half: the fast path must at minimum
-    not lose to the interpreted engine (generous 1.5x band for noisy
-    shared runners)."""
-
-    def clock(dispatch, events=4000):
-        det = LocalEventDetector(dispatch=dispatch)
-        try:
-            det.primitive_event("dep", "Account", "end", "deposit")
-            det.rule("r", det.event("dep"), action=lambda occ: None)
-            acct = Account()
-            for __ in range(events // 4):  # warm caches and the plan
-                det.notify(acct, "Account", "deposit", "end", {})
-            start = time.perf_counter()
-            for __ in range(events):
-                det.notify(acct, "Account", "deposit", "end", {})
-            return time.perf_counter() - start
-        finally:
-            det.shutdown()
-
-    interpreted = min(clock("interpreted") for __ in range(3))
-    compiled = min(clock("compiled") for __ in range(3))
-    assert compiled < interpreted * 1.5
