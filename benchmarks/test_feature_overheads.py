@@ -118,14 +118,12 @@ def test_zero_processor_emit_is_near_noop():
     # always-on tracing, which costs multiples, not percents).
     assert toggled < baseline * 1.5
 
-    # Same budget for the stage-latency histograms and trace-id
-    # stamping added for lifecycle tracing: attached-then-detached must
-    # leave no residual per-dispatch cost (no histogram observes, no
-    # occurrence stamping) on the dormant path.
-    from repro.telemetry import StageLatencyProcessor
-
+    # Same budget for the counters, stage-latency histograms and
+    # trace-id stamping: the default aggregator attached-then-detached
+    # must leave no residual per-dispatch cost (no histogram observes,
+    # no occurrence stamping) on the dormant path.
     latency_det = LocalEventDetector()
-    processor = latency_det.telemetry.attach(StageLatencyProcessor())
+    processor = latency_det.telemetry.attach(CounterProcessor())
     latency_det.telemetry.detach(processor)
     assert not latency_det.telemetry.active
     latency_off = run(latency_det)
@@ -146,9 +144,9 @@ def test_metrics_rendering_is_off_the_hot_path(benchmark):
     for i in range(50):
         registry.counter("graph.detections.recent" if i % 4 == 0
                          else f"stage{i}.count").inc(i)
-        registry.histogram(f"rule:R{i}").observe(float(i) / 7.0)
+        registry.histogram(f"stage{i}.ms").observe(float(i) / 7.0)
     text = benchmark(lambda: render_metrics(registry))
-    assert "sentinel_rule_latency_ms_bucket" in text
+    assert "sentinel_stage49_ms_bucket" in text
 
 
 @pytest.mark.parametrize("named", [False, True], ids=["int", "named-class"])

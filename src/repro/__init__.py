@@ -68,7 +68,6 @@ from repro.telemetry import (
     MetricsRegistry,
     TelemetryHub,
     TelemetryProcessor,
-    TimingProcessor,
     TraceLogProcessor,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "TelemetryHub",
     "TelemetryProcessor",
     "CounterProcessor",
-    "TimingProcessor",
     "TraceLogProcessor",
     "MetricsRegistry",
     "MonitorServer",

@@ -31,7 +31,11 @@ from repro.telemetry.events import (
     RuleExecution,
     TraceEvent,
 )
-from repro.telemetry.processors import Histogram, TelemetryProcessor
+from repro.telemetry.processors import (
+    Histogram,
+    TelemetryProcessor,
+    action_time,
+)
 
 #: phases a rule execution is split into
 PHASES = ("condition", "action", "commit")
@@ -80,8 +84,7 @@ class RuleProfile:
         return self.total.total
 
     def phase(self, name: str) -> Histogram:
-        return {"condition": self.condition, "action": self.action,
-                "commit": self.commit}[name]
+        return getattr(self, name)
 
     def to_dict(self) -> dict:
         return {
@@ -169,14 +172,16 @@ class RuleProfiler(TelemetryProcessor):
             profile = self.rules[event.rule_name] = RuleProfile(
                 event.rule_name
             )
+        # Same three outcomes the counter registry counts; a rule refused
+        # for nesting too deep (``depth_exceeded``) is none of them.
         if event.outcome == "rejected":
             profile.rejections += 1
         elif event.outcome == "completed":
             profile.executions += 1
-        else:
+        elif event.outcome == "failed":
             profile.failures += 1
-        action_ms = max(
-            0.0, event.duration_ms - event.condition_ms - event.commit_ms
+        action_ms = action_time(
+            event.duration_ms, event.condition_ms, event.commit_ms
         )
         profile.total.observe(event.duration_ms)
         profile.condition.observe(event.condition_ms)

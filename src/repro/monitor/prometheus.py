@@ -1,8 +1,9 @@
 """Prometheus text exposition rendered from a MetricsRegistry.
 
 Stdlib-only: the registry already holds everything Prometheus needs
-(monotonic counters and fixed-bucket latency histograms), so rendering
-is pure string assembly in the text exposition format (version 0.0.4).
+(monotonic counters and octave-bucket latency histograms, ``le`` bounds
+0.001 ms to ~16.8 s), so rendering is pure string assembly in the text
+exposition format (version 0.0.4).
 
 Naming: registry names are dotted stage paths (``rules.executions``,
 ``wal.flush.ms``); they become ``<prefix>_<name_with_underscores>``
@@ -10,11 +11,9 @@ with a ``_total`` suffix for counters. Histograms keep their ``_ms``
 unit suffix — the registry measures milliseconds and converting to
 Prometheus' preferred seconds would make the exposition disagree with
 every other view of the same registry (``report()``, ``repro trace``).
-Two families get labels instead of flattened names: per-context
+One family gets labels instead of flattened names: per-context
 detection counters (``graph.detections.<ctx>`` →
-``..._detections_by_context_total{context="<ctx>"}``) and the
-per-rule/per-event histograms of a ``TimingProcessor``-style registry
-(``rule:<name>`` → ``..._rule_latency_ms{rule="<name>"}``).
+``..._detections_by_context_total{context="<ctx>"}``).
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ _INVALID = re.compile(r"[^a-zA-Z0-9_]")
 
 #: context spellings recognized in ``graph.detections.<ctx>`` counters
 _CONTEXTS = tuple(ctx.value for ctx in ParameterContext)
-
-#: ``<kind>:<instance>`` histogram families and their label names
-_LABELED_FAMILIES = {
-    "rule": ("rule_latency_ms", "rule"),
-    "condition": ("condition_latency_ms", "rule"),
-    "event": ("event_latency_ms", "event"),
-}
 
 
 def sanitize(name: str) -> str:
@@ -59,37 +51,30 @@ def format_value(value: float) -> str:
     return repr(value)
 
 
+def _render_sample(kind: str, name: str, value: int | float,
+                   help_text: Optional[str]) -> list[str]:
+    lines = [f"# HELP {name} {help_text}"] if help_text else []
+    return lines + [f"# TYPE {name} {kind}", f"{name} {format_value(value)}"]
+
+
 def render_counter(name: str, value: int | float,
                    help_text: Optional[str] = None) -> list[str]:
-    lines = []
-    if help_text:
-        lines.append(f"# HELP {name} {help_text}")
-    lines.append(f"# TYPE {name} counter")
-    lines.append(f"{name} {format_value(value)}")
-    return lines
+    return _render_sample("counter", name, value, help_text)
 
 
 def render_gauge(name: str, value: int | float,
                  help_text: Optional[str] = None) -> list[str]:
-    lines = []
-    if help_text:
-        lines.append(f"# HELP {name} {help_text}")
-    lines.append(f"# TYPE {name} gauge")
-    lines.append(f"{name} {format_value(value)}")
-    return lines
+    return _render_sample("gauge", name, value, help_text)
 
 
 def render_histogram(name: str, histogram: Histogram,
                      labels: Optional[dict[str, str]] = None,
                      declare: bool = True) -> list[str]:
     """One histogram series (optionally labelled) as exposition lines."""
-    label_text = ""
-    if labels:
-        pairs = ",".join(
-            f'{key}="{escape_label(value)}"'
-            for key, value in sorted(labels.items())
-        )
-        label_text = pairs
+    label_text = ",".join(
+        f'{key}="{escape_label(value)}"'
+        for key, value in sorted((labels or {}).items())
+    )
     lines = [f"# TYPE {name} histogram"] if declare else []
     cumulative = 0
     for bound, count in zip(histogram.BOUNDS, histogram.buckets):
@@ -142,21 +127,9 @@ def render_registry(registry: MetricsRegistry,
                 f"{format_value(value)}"
             )
 
-    declared: set[str] = set()
     for name in sorted(registry.histograms):
         histogram = registry.histograms[name]
-        if not histogram.count:
-            continue
-        kind, _, instance = name.partition(":")
-        if instance and kind in _LABELED_FAMILIES:
-            family_suffix, label = _LABELED_FAMILIES[kind]
-            family = f"{prefix}_{family_suffix}"
-            lines.extend(render_histogram(
-                family, histogram, labels={label: instance},
-                declare=family not in declared,
-            ))
-            declared.add(family)
-        else:
+        if histogram.count:
             lines.extend(render_histogram(
                 f"{prefix}_{sanitize(name)}", histogram
             ))

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-from collections import deque
 from pathlib import Path
 from typing import Optional
 
@@ -34,11 +32,15 @@ from repro.telemetry.events import (
     TraceEvent,
 )
 from repro.telemetry.hub import TelemetryHub
-from repro.telemetry.processors import TelemetryProcessor
+from repro.telemetry.processors import TraceLogProcessor
 
 
-class FlightRecorder(TelemetryProcessor):
-    """Bounded span ring with automatic JSONL dumps on failure."""
+class FlightRecorder(TraceLogProcessor):
+    """Bounded span ring with automatic JSONL dumps on failure.
+
+    The ring, its lock and ``events()`` are the trace log's; the
+    recorder adds sampling and the dump triggers.
+    """
 
     def __init__(
         self,
@@ -51,6 +53,7 @@ class FlightRecorder(TelemetryProcessor):
     ):
         if sample < 1:
             raise ValueError("sample must be >= 1")
+        super().__init__(capacity)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sample = sample
@@ -58,8 +61,6 @@ class FlightRecorder(TelemetryProcessor):
         self.armed = armed
         self.min_interval_s = min_interval_s
         self.dumps: list[Path] = []
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
         self._hub = hub
         self._dropped_seen = hub.dropped if hub is not None else 0
         self._seen = 0
@@ -73,7 +74,7 @@ class FlightRecorder(TelemetryProcessor):
         with self._lock:
             self._seen += 1
             if trigger is not None or self._seen % self.sample == 0:
-                self._ring.append(event)
+                self._buffer.append(event)
         if trigger is not None and self.armed:
             # Rate-limit on the event's *end* time: a span's ``at`` is
             # its entry timestamp, so a failed rule span closing right
@@ -105,10 +106,6 @@ class FlightRecorder(TelemetryProcessor):
             self._last_dump_at = at
         self.dump(reason)
 
-    def events(self) -> list[TraceEvent]:
-        with self._lock:
-            return list(self._ring)
-
     def dump(self, reason: str = "manual",
              path: Optional[str | os.PathLike] = None) -> Path:
         """Write the ring to JSONL; returns the file written.
@@ -117,7 +114,7 @@ class FlightRecorder(TelemetryProcessor):
         loader skips it); the rest are events, oldest first.
         """
         with self._lock:
-            events = list(self._ring)
+            events = list(self._buffer)
             self._serial += 1
             serial = self._serial
         target = Path(path) if path is not None else (

@@ -100,12 +100,11 @@ def system_health(system: "Sentinel") -> dict[str, Any]:
         "detector": detector_health(system.detector),
         "faults": faults_health(),
     }
-    stage_latency = getattr(system, "stage_latency", None)
-    if stage_latency is not None:
+    if system.metrics is not None:
         # p50/p95/p99 per lifecycle stage (ingest, detect, condition,
         # action, commit, shard_hop, detached_wait, wire); stages with
         # no samples are omitted.
-        data["latency"] = stage_latency.percentiles()
+        data["latency"] = system.metrics.percentiles()
     for provider in tuple(getattr(system, "extra_health_providers", ())):
         # e.g. an attached SentinelServer's serving slice (address,
         # connections, draining); a broken provider must not take down
@@ -185,9 +184,8 @@ def runtime_metric_lines(system: "Sentinel",
         family = f"{prefix}_detached_queue_{counter}_total"
         lines.append(f"# TYPE {family} counter")
         lines.append(f"{family} {queue[counter]}")
-    stage_latency = getattr(system, "stage_latency", None)
-    if stage_latency is not None:
-        lines.extend(stage_latency.prometheus_lines(prefix))
+    if system.metrics is not None:
+        lines.extend(system.metrics.prometheus_lines(prefix))
     lines.extend(fault_metric_lines())
     for provider in tuple(getattr(system, "extra_metric_providers", ())):
         # e.g. an attached SentinelServer's per-tenant families; a

@@ -69,7 +69,6 @@ from repro.serving.api import (
 from repro.oodb.object_model import Persistent
 from repro.telemetry.events import TransactionSpan
 from repro.telemetry.hub import TelemetryHub, TelemetrySpan
-from repro.telemetry.latency import StageLatencyProcessor
 from repro.telemetry.processors import (
     CounterProcessor,
     TelemetryProcessor,
@@ -234,14 +233,9 @@ class Sentinel(SentinelAPI):
         #: graph, nested transactions, WAL, buffer pool); attach
         #: processors here to observe the whole system.
         self.telemetry = TelemetryHub()
+        #: counters, duration histograms and the stage-latency view
         self.metrics: Optional[CounterProcessor] = (
             self.telemetry.attach(CounterProcessor()) if metrics else None
-        )
-        #: log-bucketed stage-latency histograms (ingest, detect,
-        #: condition, action, commit, shard hops, detached waits, wire);
-        #: rides the same ``metrics`` switch as the counter registry.
-        self.stage_latency: Optional[StageLatencyProcessor] = (
-            self.telemetry.attach(StageLatencyProcessor()) if metrics else None
         )
         self.db: Optional[OpenOODB] = (
             OpenOODB(directory, pool_size=pool_size, telemetry=self.telemetry)
@@ -946,8 +940,8 @@ class Sentinel(SentinelAPI):
                 "wal_flushed_lsn": self.db.storage.wal.flushed_lsn,
             }
         metrics = registry.to_dict() if registry is not None else {}
-        if self.stage_latency is not None:
-            metrics["stage_latency"] = self.stage_latency.percentiles()
+        if self.metrics is not None:
+            metrics["stage_latency"] = self.metrics.percentiles()
         return SystemReport(
             name=self.name,
             events=events,

@@ -7,7 +7,7 @@ detached dispatch, WAL flush, buffer eviction) emits a typed trace
 event through a :class:`TelemetryHub` to pluggable, best-effort
 :class:`TelemetryProcessor`\\ s. With no processor attached the
 instrumented paths reduce to a single flag check; with only
-aggregating processors (the default counters and stage histograms) an
+aggregating processors (the default counters and histograms) an
 emission is a few additions, and the frozen-dataclass event is built
 only for processors that keep it.
 
@@ -55,19 +55,14 @@ from repro.telemetry.hub import (
     TelemetrySpan,
     new_trace_id,
 )
-from repro.telemetry.latency import (
-    STAGES,
-    LogHistogram,
-    StageLatencyProcessor,
-)
 from repro.telemetry.processors import (
+    STAGES,
     Aggregator,
     Counter,
     CounterProcessor,
     Histogram,
     MetricsRegistry,
     TelemetryProcessor,
-    TimingProcessor,
     TraceLogProcessor,
 )
 
@@ -77,13 +72,10 @@ __all__ = [
     "TelemetryProcessor",
     "Aggregator",
     "CounterProcessor",
-    "TimingProcessor",
     "TraceLogProcessor",
     "MetricsRegistry",
     "Counter",
     "Histogram",
-    "LogHistogram",
-    "StageLatencyProcessor",
     "STAGES",
     "new_trace_id",
     "TraceEvent",

@@ -14,8 +14,8 @@ table is current, so processors can come and go from any thread while
 events flow. A route has two halves:
 
 * *reducers* — functions of ``(fields, duration_ms)`` published by
-  aggregating processors (the default ``CounterProcessor`` and
-  ``StageLatencyProcessor``). They are fed straight from the call
+  aggregating processors (the default ``CounterProcessor``, one
+  reducer per event class). They are fed straight from the call
   site's keyword arguments.
 * *recorders* — the ``handle(event)`` methods of recording processors
   (``TraceLogProcessor``, ``FlightRecorder``, the JSONL exporter, the

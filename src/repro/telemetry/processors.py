@@ -1,11 +1,12 @@
 """Telemetry processors: the built-in consumers of trace events.
 
 * :class:`CounterProcessor` — a metrics registry of counters and
-  duration histograms; the single source the
-  :meth:`~repro.sentinel.Sentinel.report` counters are read from.
+  duration histograms plus the lifecycle-stage view over them
+  (:data:`STAGES`); the single source the
+  :meth:`~repro.sentinel.Sentinel.report` counters and the
+  ``health()["latency"]`` percentiles are read from.
 * :class:`TraceLogProcessor` — a ring buffer of trace events plus a
   text renderer that rebuilds the span tree (CLI ``trace``).
-* :class:`TimingProcessor` — per-rule / per-event latency histograms.
 
 A processor consumes emissions in one of two ways (or both). A
 *recording* processor defines ``handle(event)`` and receives the frozen
@@ -35,15 +36,16 @@ from repro.telemetry.events import (
     ConditionEvaluated,
     DetachedDispatch,
     DetachedOverflow,
+    DetachedQueueWait,
     Detection,
     GlobalDetectionDelivered,
     GlobalEventReceived,
     GlobalEventSent,
-    GraphPropagation,
     NotificationReceived,
     NotificationSuppressed,
     RuleExecution,
     RuleTriggered,
+    ShardHop,
     SubtransactionBoundary,
     TraceEvent,
     TransactionSpan,
@@ -54,6 +56,19 @@ from repro.telemetry.events import (
 #: stage-specific fields with the event class's defaults filled in;
 #: ``duration_ms`` is 0.0 for point events.
 Reducer = Callable[[dict, float], None]
+
+#: canonical lifecycle stages of the paper's Notify → detect → condition
+#: → action → commit chain, in pipeline order (a public contract)
+STAGES = ("ingest", "shard_hop", "detect", "condition", "action",
+          "action_async", "commit", "detached_wait", "wire")
+
+
+def action_time(duration_ms: float, condition_ms: float,
+                commit_ms: float) -> float:
+    """A rule execution's action time: what is left of its duration
+    after the condition and commit phases, never below zero."""
+    action_ms = duration_ms - condition_ms - commit_ms
+    return action_ms if action_ms > 0.0 else 0.0
 
 
 class TelemetryProcessor:
@@ -117,12 +132,17 @@ class Counter:
 
 
 class Histogram:
-    """Latency summary: count/total/min/max plus log-scale buckets."""
+    """Latency summary: count/total/min/max plus octave buckets.
+
+    Stages span five orders of magnitude (a notify costs microseconds,
+    a detached-queue wait tens of milliseconds), so the buckets double
+    from 1 µs to ~16.8 s: a percentile estimate is within 2x.
+    """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets")
 
-    #: upper bounds (ms) of the fixed buckets; the last is +inf
-    BOUNDS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 1000.0)
+    #: upper bounds (ms), 0.001 · 2^i; one bucket past the last overflows
+    BOUNDS = tuple(0.001 * 2.0 ** i for i in range(25))
 
     def __init__(self, name: str):
         self.name = name
@@ -141,9 +161,39 @@ class Histogram:
             self.max = value_ms
         self.buckets[bisect_left(self.BOUNDS, value_ms)] += 1
 
+    @classmethod
+    def merged(cls, name: str, parts: Iterable["Histogram"]) -> "Histogram":
+        """One histogram holding every sample of ``parts``; the shared
+        bounds make the bucket-wise sum exact."""
+        merged = cls(name)
+        for part in parts:
+            merged.count += part.count
+            merged.total += part.total
+            merged.min = min(merged.min, part.min)
+            merged.max = max(merged.max, part.max)
+            merged.buckets = [a + b for a, b in zip(merged.buckets, part.buckets)]
+        return merged
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-quantile (``0 < q <= 1``), estimated from buckets.
+
+        Returns the upper bound of the bucket holding the target rank,
+        clamped to the observed maximum, so the estimate never exceeds
+        any value actually recorded.
+        """
+        if not self.count:
+            return 0.0
+        target = q * self.count
+        cumulative = 0
+        for bound, count in zip(self.BOUNDS, self.buckets):
+            cumulative += count
+            if cumulative >= target:
+                return min(bound, self.max)
+        return self.max
 
     def summary(self) -> dict:
         return {
@@ -152,6 +202,9 @@ class Histogram:
             "mean_ms": round(self.mean, 4),
             "min_ms": round(self.min, 4) if self.count else 0.0,
             "max_ms": round(self.max, 4),
+            "p50_ms": round(self.percentile(0.50), 4),
+            "p95_ms": round(self.percentile(0.95), 4),
+            "p99_ms": round(self.percentile(0.99), 4),
         }
 
     def __repr__(self) -> str:
@@ -222,14 +275,35 @@ class CounterProcessor(Aggregator):
     structs maintained has a named equivalent here, derived from the
     same instrumentation points (see ``tests/telemetry/test_parity``).
     The durations of the built-in span classes additionally land in
-    per-stage histograms (``notify.ms``, ``rule.ms``, ``wal.flush.ms``,
-    ...). An aggregator: no event object is built on its account.
+    per-class histograms (``notify.ms``, ``rule.ms``, ``wal.flush.ms``,
+    ...), and :attr:`stages` reads them as the lifecycle stages of
+    :data:`STAGES`. Each event class has one reducer, so every duration
+    is observed once. An aggregator: no event object is built on its
+    account.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.registry = registry = MetricsRegistry()
         counter = registry.counter
+        histogram = registry.histogram
+        # A stage fed by one span class shares that class's registry
+        # histogram; ``ingest`` (two classes) is summed when read.
+        shared = {"detect": "propagate.ms", "condition": "condition.ms",
+                  "wire": "wire.ms"}
+        self._ingest = (histogram("notify.ms"), histogram("batch.ms"))
+        self._stages = {
+            stage: histogram(shared[stage]) if stage in shared
+            else Histogram(stage)
+            for stage in STAGES if stage != "ingest"
+        }
+        observe_notify = self._ingest[0].observe
+        observe_batch = self._ingest[1].observe
+        observe_condition = histogram("condition.ms").observe
+        observe_rule = histogram("rule.ms").observe
+        observe_action = self._stages["action"].observe
+        observe_action_async = self._stages["action_async"].observe
+        observe_commit = self._stages["commit"].observe
         notifications = counter("detector.notifications")
         raises = counter("detector.raises")
         matched = counter("detector.matched")
@@ -246,6 +320,7 @@ class CounterProcessor(Aggregator):
         received = counter("global.received")
         dropped = counter("global.dropped")
         channel = _CounterFamily(registry, "channel.")
+        conditions = counter("rules.conditions_evaluated")
         rule_outcomes = {
             "completed": counter("rules.executions"),
             "rejected": counter("rules.condition_rejections"),
@@ -260,6 +335,7 @@ class CounterProcessor(Aggregator):
             else:
                 notifications.value += 1
             matched.value += fields["matched"]
+            observe_notify(duration_ms)
 
         def on_suppressed(fields: dict, duration_ms: float) -> None:
             notifications.value += 1
@@ -279,15 +355,31 @@ class CounterProcessor(Aggregator):
             else:
                 notifications.value += fields["size"]
             matched.value += fields["matched"]
+            observe_batch(duration_ms)
 
         def on_detection(fields: dict, duration_ms: float) -> None:
             detections.value += 1
             detections_by_context[fields["context"]].value += 1
 
+        def on_condition(fields: dict, duration_ms: float) -> None:
+            conditions.value += 1
+            observe_condition(duration_ms)
+
         def on_rule(fields: dict, duration_ms: float) -> None:
             outcome = rule_outcomes.get(fields["outcome"])
             if outcome is not None:
                 outcome.value += 1
+            observe_rule(duration_ms)
+            commit_ms = fields["commit_ms"]
+            action_ms = action_time(
+                duration_ms, fields["condition_ms"], commit_ms
+            )
+            if fields["lane"] == "async":
+                observe_action_async(action_ms)
+            else:
+                observe_action(action_ms)
+            if commit_ms > 0.0:
+                observe_commit(commit_ms)
 
         def on_wal_flush(fields: dict, duration_ms: float) -> None:
             flushes.value += 1
@@ -312,16 +404,26 @@ class CounterProcessor(Aggregator):
 
             return reduce
 
-        counted: dict[type[TraceEvent], Reducer] = {
+        def wait(stage: str) -> Reducer:
+            observe = self._stages[stage].observe
+            return lambda fields, duration_ms: observe(fields["wait_ms"])
+
+        # The hot span classes observe their own duration; the other
+        # span classes are wrapped by _timed.
+        timed: dict[type[TraceEvent], Reducer] = {
             NotificationReceived: on_notification,
+            BatchIngested: on_batch,
+            ConditionEvaluated: on_condition,
+            RuleExecution: on_rule,
+        }
+        counted: dict[type[TraceEvent], Reducer] = {
             NotificationSuppressed: on_suppressed,
             RuleTriggered: count("rules.triggers"),
             DetachedDispatch: count("detector.detached_dispatches"),
+            DetachedQueueWait: wait("detached_wait"),
             DetachedOverflow: on_detached_overflow,
-            BatchIngested: on_batch,
             Detection: on_detection,
-            ConditionEvaluated: count("rules.conditions_evaluated"),
-            RuleExecution: on_rule,
+            ShardHop: wait("shard_hop"),
             SubtransactionBoundary: count_by(subtransactions, "kind"),
             TransactionSpan: count_by(transactions, "outcome"),
             WalFlush: on_wal_flush,
@@ -332,11 +434,37 @@ class CounterProcessor(Aggregator):
             ChannelMessage: count_by(channel, "kind"),
         }
         for cls in ALL_EVENT_TYPES:
-            reduce = counted.get(cls)
-            if cls.is_span:
-                reduce = _timed(registry.histogram(f"{cls.stage}.ms"), reduce)
+            reduce = timed.get(cls)
+            if reduce is None:
+                reduce = counted.get(cls)
+                if cls.is_span:
+                    reduce = _timed(histogram(f"{cls.stage}.ms"), reduce)
             if reduce is not None:
                 self._reducers[cls] = reduce
+
+    @property
+    def stages(self) -> dict[str, Histogram]:
+        """Stage name -> histogram, in :data:`STAGES` order; ``ingest``
+        (``notify.ms`` plus ``batch.ms``) is summed on each read."""
+        return {"ingest": Histogram.merged("ingest", self._ingest),
+                **self._stages}
+
+    def percentiles(self) -> dict[str, dict]:
+        """Per-stage summaries, omitting stages with no samples."""
+        return {s: h.summary() for s, h in self.stages.items() if h.count}
+
+    def prometheus_lines(self, prefix: str = "sentinel") -> list[str]:
+        """One labelled histogram family covering every sampled stage."""
+        from repro.monitor.prometheus import render_histogram
+
+        family = f"{prefix}_stage_latency_ms"
+        lines: list[str] = []
+        for stage, hist in self.stages.items():
+            if hist.count:
+                lines.extend(render_histogram(
+                    family, hist, labels={"stage": stage}, declare=not lines,
+                ))
+        return lines
 
 
 def _timed(histogram: Histogram, first: Optional[Reducer]) -> Reducer:
@@ -350,47 +478,6 @@ def _timed(histogram: Histogram, first: Optional[Reducer]) -> Reducer:
         observe(duration_ms)
 
     return reduce
-
-
-class TimingProcessor(TelemetryProcessor):
-    """Per-rule and per-event latency histograms.
-
-    * ``rule:<name>`` — full subtransaction latency per rule;
-    * ``condition:<name>`` — condition evaluation latency per rule;
-    * ``event:<name>`` — propagation latency per source event node
-      (the cost of the data-flow cascade one occurrence causes);
-    * ``wal.flush`` — log force latency.
-    """
-
-    subscriptions = (
-        RuleExecution, ConditionEvaluated, GraphPropagation, WalFlush,
-    )
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-
-    def handle(self, event: TraceEvent) -> None:
-        if isinstance(event, RuleExecution):
-            self.registry.histogram(f"rule:{event.rule_name}").observe(
-                event.duration_ms
-            )
-        elif isinstance(event, ConditionEvaluated):
-            self.registry.histogram(f"condition:{event.rule_name}").observe(
-                event.duration_ms
-            )
-        elif isinstance(event, GraphPropagation):
-            self.registry.histogram(f"event:{event.event_name}").observe(
-                event.duration_ms
-            )
-        elif isinstance(event, WalFlush):
-            self.registry.histogram("wal.flush").observe(event.duration_ms)
-
-    def rule_timings(self) -> dict[str, dict]:
-        return {
-            name[len("rule:"):]: hist.summary()
-            for name, hist in self.registry.histograms.items()
-            if name.startswith("rule:")
-        }
 
 
 class TraceLogProcessor(TelemetryProcessor):

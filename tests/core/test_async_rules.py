@@ -396,8 +396,8 @@ def test_rule_spans_carry_the_lane_and_feed_action_async():
     assert spans["sync_rule"].lane == "sync"
     assert spans["async_rule"].trace_id is not None
     assert spans["async_rule"].trace_id == spans["sync_rule"].trace_id
-    assert s.stage_latency.histograms["action_async"].count == 1
-    assert s.stage_latency.histograms["action"].count == 1
+    assert s.metrics.stages["action_async"].count == 1
+    assert s.metrics.stages["action"].count == 1
     s.close()
 
 

@@ -2,7 +2,10 @@
 
 import time
 
+import pytest
+
 from repro import Reactive, RuleProfiler, Sentinel, event
+from repro.errors import RuleExecutionError
 
 from tests.monitor.helpers import assert_valid_exposition
 
@@ -82,6 +85,25 @@ class TestStockExampleAttribution:
         assert lines[1].strip().startswith("SlowAudit:")
         assert "condition" in lines[2]
         assert "action" in lines[2] and "commit" in lines[2]
+        system.close()
+
+
+class TestOutcomes:
+    def test_depth_exceeded_is_not_counted_as_a_failure(self):
+        """A rule that recurses past the nesting limit: the refused
+        innermost run is charged to its caller, in the registry and the
+        profiler alike."""
+        system = Sentinel(name="recursing")
+        profiler = system.telemetry.attach(RuleProfiler())
+        system.explicit_event("e")
+        system.rule("loop", "e", action=lambda occ: system.raise_event("e"))
+        with pytest.raises(RuleExecutionError):
+            system.raise_event("e")
+        failures = system.report().rules["failures"]
+        assert failures > 0
+        assert profiler.rules["loop"].failures == failures
+        assert ('sentinel_rule_outcomes_total{rule="loop",'
+                f'outcome="failed"}} {failures}') in profiler.prometheus_lines()
         system.close()
 
 

@@ -48,7 +48,7 @@ def test_root_lists_the_endpoint(system):
     assert "/trace/<trace_id>" in json.loads(body)["endpoints"]
 
 
-def test_metrics_exposition_includes_stage_latency(system):
+def test_metrics_exposition_includes_stage_histograms(system):
     from tests.monitor.helpers import assert_valid_exposition
 
     monitor = system.monitor()

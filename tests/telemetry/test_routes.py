@@ -79,7 +79,7 @@ def drive(system: Sentinel, seed: int = 11, events: int = 240) -> int:
 def stage_counts(system: Sentinel) -> dict:
     return {
         stage: histogram.count
-        for stage, histogram in system.stage_latency.histograms.items()
+        for stage, histogram in system.metrics.stages.items()
     }
 
 
@@ -136,6 +136,37 @@ class TestBothDeliveriesAgree:
         system.telemetry.attach(TraceLogProcessor())
         system.raise_event("e")
         assert "RuleExecution" in built
+        system.close()
+
+    def test_default_system_observes_every_duration_once(self):
+        """Guard: one default aggregator, one reducer per event class,
+        and the stage rows read the registry's histograms rather than
+        keeping second copies of the same samples."""
+        system = Sentinel(name="one-aggregator")
+        assert system.telemetry.processors == (system.metrics,)
+        routes = system.telemetry._routes
+        assert routes
+        for cls, (reducers, recorders, __) in routes.items():
+            assert len(reducers) == 1, cls.__name__
+            assert recorders == ()
+        drive(system)
+        # one batch span
+        system.raise_events([("tick", {"v": 2}), ("tock", {"v": 4})])
+        histograms = system.report().metrics["histograms"]
+        latency = system.health()["latency"]
+        assert histograms["batch.ms"]["count"] == 1
+        assert latency["ingest"]["count"] == (
+            histograms["notify.ms"]["count"] + histograms["batch.ms"]["count"]
+        )
+        assert latency["detect"]["count"] == histograms["propagate.ms"]["count"]
+        assert latency["condition"]["count"] == (
+            histograms["condition.ms"]["count"]
+        )
+        stages = system.metrics.stages
+        registry = system.metrics.registry.histograms
+        assert stages["detect"] is registry["propagate.ms"]
+        assert stages["condition"] is registry["condition.ms"]
+        assert stages["wire"] is registry["wire.ms"]
         system.close()
 
 
@@ -317,7 +348,7 @@ class TestAttachDetachRace:
         assert not thread.is_alive()
         assert errors == []
         assert hub.dropped == 0
-        assert len(hub.processors) == 2
+        assert hub.processors == (system.metrics,)
         registry = system.metrics.registry
         assert registry.value("detector.raises") == raised
         assert registry.value("rules.executions") == raised
