@@ -170,6 +170,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         TraceLogProcessor(capacity=args.capacity)
     )
     counters = detector.telemetry.attach(CounterProcessor())
+    counters.read_engine(detector)
     exporter = None
     if args.export_spans:
         from repro.monitor import JsonlSpanExporter
@@ -209,6 +210,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         TraceLogProcessor(capacity=args.capacity)
     )
     counters = detector.telemetry.attach(CounterProcessor())
+    counters.read_engine(detector)
     profiler = detector.telemetry.attach(RuleProfiler(slow_ms=args.slow_ms))
     if args.log:
         report = replay_log(EventLog(args.log), detector, mode="execute")

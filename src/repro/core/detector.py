@@ -690,11 +690,14 @@ class LocalEventDetector:
             # even when it runs on another thread (threaded/detached).
             parent_span_id = telemetry.current_span_id()
             trace_id = telemetry.current_trace_id()
-            telemetry.point(
-                RuleTriggered,
-                rule_name=rule.name,
-                event_name=getattr(occurrence, "event_name", "?"),
-            )
+            # stats.triggers is what the registry reads; the point goes
+            # only to a processor that asked for it.
+            if RuleTriggered in telemetry.routed:
+                telemetry.point(
+                    RuleTriggered,
+                    rule_name=rule.name,
+                    event_name=getattr(occurrence, "event_name", "?"),
+                )
         # current_transaction(), not the raw slot: a rule triggered from
         # an action nests under that action's (now begun) subtransaction.
         activation = RuleActivation(

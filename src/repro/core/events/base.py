@@ -139,12 +139,18 @@ class EventNode:
 
     def signal(self, occurrence: Occurrence, ctx: ParameterContext) -> None:
         """Deliver a detection of this node to its subscribers."""
-        self.graph.stats.detections += 1
+        stats = self.graph.stats
+        stats.detections += 1
+        # Keyed by the value string: ``_value_`` is a plain attribute
+        # and a str hashes in C, where an enum member hashes in Python.
+        stats.detections_by_context[ctx._value_] += 1
         self.detections_by_context[ctx] = (
             self.detections_by_context.get(ctx, 0) + 1
         )
+        # The registry reads the counts above; only a processor that
+        # asked for Detection events gets one.
         telemetry = self.graph.telemetry
-        if telemetry.active:
+        if Detection in telemetry.routed:
             telemetry.point(
                 Detection,
                 event_name=self.display_name,

@@ -9,10 +9,11 @@ disabled for the ABL-SHARE ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.clock import Clock
+from repro.core.contexts import ParameterContext
 from repro.core.params import EventModifier
 from repro.errors import DuplicateEvent, UnknownEvent
 from repro.core.events.base import EventNode
@@ -34,7 +35,6 @@ from repro.core.events.primitive import (
 )
 
 if TYPE_CHECKING:
-    from repro.core.contexts import ParameterContext
     from repro.core.params import Occurrence
     from repro.core.rules import Rule
     from repro.telemetry.hub import TelemetryHub
@@ -42,11 +42,19 @@ if TYPE_CHECKING:
 
 @dataclass
 class GraphStats:
-    """Counters for the benchmark harness."""
+    """The graph's own counters; the metrics registry reads the
+    detection totals from here."""
 
     nodes_created: int = 0
     shared_hits: int = 0
     detections: int = 0
+    #: detections per parameter context value ("recent", ...), every
+    #: context present from 0
+    detections_by_context: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            (ctx.value for ctx in ParameterContext), 0
+        )
+    )
     propagations: int = 0
 
 

@@ -360,12 +360,14 @@ class RuleScheduler:
                 depth=depth,
                 lane="async" if awaits else "sync",
             )
+        # The span's phase fields, handed over when it closes.
+        outcome = "completed"
+        condition_ms = commit_ms = 0.0
         try:
             if depth > self.MAX_DEPTH:
-                if span is not None:
-                    # Not counted as a rule failure: the error is charged
-                    # to the triggering rule whose action recursed.
-                    span.set(outcome="depth_exceeded")
+                # Not counted as a rule failure: the error is charged to
+                # the triggering rule whose action recursed.
+                outcome = "depth_exceeded"
                 raise RuleExecutionError(
                     rule.name,
                     "nesting",
@@ -401,11 +403,16 @@ class RuleScheduler:
                 # acknowledge flag). The condition never awaits, so the
                 # flag — a plain thread local, not swapped per task —
                 # cannot leak across tasks on the asyncio lane.
+                # The rule span's condition_ms is what metrics read; a
+                # ConditionEvaluated span is opened only for a
+                # processor that asked for one.
                 condition_span = None
                 if span is not None:
-                    condition_span = telemetry.span(
-                        ConditionEvaluated, rule_name=rule.name
-                    )
+                    if ConditionEvaluated in telemetry.routed:
+                        condition_span = telemetry.span(
+                            ConditionEvaluated, rule_name=rule.name
+                        )
+                    condition_started = perf_counter()
                 satisfied = False
                 previous_suppressed = getattr(
                     detector_local, "suppressed", False
@@ -419,10 +426,12 @@ class RuleScheduler:
                     ) from exc
                 finally:
                     detector_local.suppressed = previous_suppressed
-                    if condition_span is not None:
-                        span.set(condition_ms=condition_span.close(
-                            satisfied=satisfied
-                        ))
+                    if span is not None:
+                        condition_ms = (
+                            perf_counter() - condition_started
+                        ) * 1000.0
+                        if condition_span is not None:
+                            condition_span.close(satisfied=satisfied)
                 if listeners:
                     self._notify("condition", rule, occurrence,
                                  satisfied=satisfied, depth=depth)
@@ -449,14 +458,10 @@ class RuleScheduler:
                     if span is not None:
                         commit_start = perf_counter()
                         sub.commit()
-                        span.set(
-                            commit_ms=(perf_counter() - commit_start)
-                            * 1000.0
-                        )
+                        commit_ms = (perf_counter() - commit_start) * 1000.0
                     else:
                         sub.commit()
-                if span is not None:
-                    span.set(outcome="completed" if satisfied else "rejected")
+                outcome = "completed" if satisfied else "rejected"
                 if listeners:
                     self._notify("done", rule, occurrence, depth=depth)
             except Exception as exc:
@@ -466,8 +471,7 @@ class RuleScheduler:
                     RuleExecutionError(rule.name, "execution", exc)
                 )
                 self._record_failure(error)
-                if span is not None:
-                    span.set(outcome="failed")
+                outcome = "failed"
                 if listeners:
                     self._notify("failed", rule, occurrence,
                                  depth=depth, error=error)
@@ -479,7 +483,8 @@ class RuleScheduler:
                 detector_local.txn = previous_txn
         finally:
             if span is not None:
-                span.close()
+                span.close(outcome=outcome, condition_ms=condition_ms,
+                           commit_ms=commit_ms)
 
     def _signal_rule_event(self, rule: Rule, modifier: str) -> None:
         detector = self._detector

@@ -88,7 +88,9 @@ def render_histogram(name: str, histogram: Histogram,
     lines.append(f"{name}_bucket{{{joined}}} {cumulative}")
     brace = f"{{{label_text}}}" if label_text else ""
     lines.append(f"{name}_sum{brace} {format_value(histogram.total)}")
-    lines.append(f"{name}_count{brace} {histogram.count}")
+    # The +Inf bucket, not ``histogram.count``: a scrape racing an
+    # observe() (count bumped, bucket not yet) must still agree with it.
+    lines.append(f"{name}_count{brace} {cumulative}")
     return lines
 
 

@@ -88,10 +88,11 @@ class SystemReport:
     """A status snapshot across every module of the active system.
 
     Counter values come from the telemetry metrics registry (the
-    default :class:`~repro.telemetry.processors.CounterProcessor`);
-    structural numbers (node counts, enabled rules, resident objects)
-    are read live. ``to_dict()`` returns the pre-telemetry dict shape
-    and ``report["events"]``-style indexing keeps old callers working.
+    default :class:`~repro.telemetry.processors.CounterProcessor`) or,
+    for detections and triggers, from the engine; structural numbers
+    (node counts, enabled rules, resident objects) are read live.
+    ``to_dict()`` returns the pre-telemetry dict shape and
+    ``report["events"]``-style indexing keeps old callers working.
     """
 
     name: str
@@ -253,6 +254,8 @@ class Sentinel(SentinelAPI):
             telemetry=self.telemetry,
             shards=shards,
         )
+        if self.metrics is not None:
+            self.metrics.read_engine(self.detector)
         ensure_system_events(self.detector)
         self.detector.detached_handler = self._run_detached
         #: bounded detached-rule queue; overflow resolved by
@@ -881,7 +884,8 @@ class Sentinel(SentinelAPI):
     def report(self) -> SystemReport:
         """A status snapshot across every module (operations/debugging).
 
-        Counters come from the telemetry metrics registry (the default
+        Detections and triggers are the engine's own counts. The other
+        counters come from the telemetry metrics registry (the default
         :class:`~repro.telemetry.processors.CounterProcessor`); with
         ``metrics=False`` the legacy per-module stats objects are read
         instead — the values are identical (see the telemetry parity
@@ -893,14 +897,13 @@ class Sentinel(SentinelAPI):
         def counter(name: str, fallback: int) -> int:
             return registry.value(name) if registry is not None else fallback
 
+        graph_stats = detector.graph.stats
         events = {
             "nodes": len(detector.graph),
             "named": len(detector.graph.names()),
-            "shared_hits": detector.graph.stats.shared_hits,
-            "detections": counter(
-                "graph.detections", detector.graph.stats.detections
-            ),
-            "propagations": detector.graph.stats.propagations,
+            "shared_hits": graph_stats.shared_hits,
+            "detections": graph_stats.detections,
+            "propagations": graph_stats.propagations,
         }
         notifications = {
             "received": counter(
@@ -909,7 +912,7 @@ class Sentinel(SentinelAPI):
             "suppressed": counter(
                 "detector.suppressed", detector.stats.suppressed
             ),
-            "triggers": counter("rules.triggers", detector.stats.triggers),
+            "triggers": detector.stats.triggers,
             "detached": counter(
                 "detector.detached_dispatches",
                 detector.stats.detached_dispatches,

@@ -24,7 +24,9 @@ events flow. A route has two halves:
   emission, and only when the route holds at least one of them.
 
 An emission of a class nobody asked for costs one dict miss: ``point``
-returns None and ``span`` returns the shared :data:`NOOP_SPAN`.
+returns None and ``span`` returns the shared :data:`NOOP_SPAN`. Call
+sites whose keyword arguments cost something to build test the class
+against ``hub.routed`` first.
 
 Delivery is synchronous and best-effort: a reducer or ``handle`` that
 raises never breaks event detection or rule execution; the exception
@@ -33,11 +35,14 @@ is counted in ``hub.dropped`` and remembered in ``hub.last_error``.
 Span parentage is tracked with a per-thread :class:`SpanContext`: a
 stack of open span ids and the current *trace id* — an opaque hex
 string naming one end-to-end event lifecycle. Opening a span pushes its
-id; closing pops it and emits. A root span (no trace current on its
-thread) mints a fresh trace id and owns it for its duration; nested
-spans and points inherit it. Work handed to another thread (detached
-rules, threaded executors) carries its parent span id explicitly via
-the ``parent_id`` argument, and context can be adopted explicitly —
+id; closing pops it and emits. Parent links are only ever read by
+recording processors, so a span whose route holds no recorder when it
+opens skips the push, the pop and its own parent lookup. A root span
+(no trace current on its thread) mints a fresh trace id and owns it
+for its duration, recorded or not; nested spans and points inherit
+it. Work handed to another thread (detached rules, threaded
+executors) carries its parent span id explicitly via the
+``parent_id`` argument, and context can be adopted explicitly —
 :meth:`TelemetryHub.trace_scope` for foreign contexts arriving over the
 serving wire, or the ``trace_id`` argument to :meth:`TelemetryHub.span`
 for activations replayed on detached worker threads — so one detection
@@ -58,7 +63,7 @@ import threading
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from repro.telemetry.events import TraceEvent
+from repro.telemetry.events import ALL_EVENT_TYPES, TraceEvent
 
 if TYPE_CHECKING:
     from repro.telemetry.processors import TelemetryProcessor
@@ -130,25 +135,34 @@ class TelemetrySpan:
     ``close``) for scopes that straddle method calls, like a top-level
     transaction. Extra event fields may be filled in while the span is
     open with :meth:`set`.
+
+    A span opened with ``recorded`` false (its route held no recorder)
+    stays off the span stack: it neither resolves an inherited parent
+    (``parent_span_id`` is then None unless given explicitly) nor
+    parents what runs inside it. Its trace handling is the same.
     """
 
     __slots__ = (
         "_hub", "_cls", "_fields", "_context", "span_id", "parent_span_id",
-        "trace_id", "started", "_open", "_trace_restore",
+        "trace_id", "started", "_open", "_pushed", "_trace_restore",
     )
 
     def __init__(self, hub: "TelemetryHub", cls: type[TraceEvent],
-                 parent_id: Any, fields: dict, trace_id: Any = INHERIT):
+                 parent_id: Any, fields: dict, trace_id: Any = INHERIT,
+                 recorded: bool = True):
         self._hub = hub
         self._cls = cls
         self._fields = fields
         self.span_id = next(_SPAN_IDS)
         self._context = context = hub._local.ctx
-        stack = context.stack
-        if parent_id is INHERIT:
+        self._pushed = recorded
+        if parent_id is not INHERIT:
+            self.parent_span_id = parent_id
+        elif recorded:
+            stack = context.stack
             self.parent_span_id = stack[-1] if stack else None
         else:
-            self.parent_span_id = parent_id
+            self.parent_span_id = None
         current = context.trace
         if trace_id is INHERIT or trace_id is None:
             if current is None:
@@ -166,7 +180,8 @@ class TelemetrySpan:
                 self._trace_restore = current
             else:
                 self._trace_restore = _KEEP
-        stack.append(self.span_id)
+        if recorded:
+            context.stack.append(self.span_id)
         self._open = True
         self.started = perf_counter()
 
@@ -185,14 +200,15 @@ class TelemetrySpan:
         self._open = False
         elapsed_ms = (perf_counter() - self.started) * 1000.0
         context = self._context
-        stack = context.stack
-        if stack and stack[-1] == self.span_id:
-            stack.pop()
-        else:  # unbalanced close (error paths); drop our frame anyway
-            try:
-                stack.remove(self.span_id)
-            except ValueError:
-                pass
+        if self._pushed:
+            stack = context.stack
+            if stack and stack[-1] == self.span_id:
+                stack.pop()
+            else:  # unbalanced close (error paths); drop our frame anyway
+                try:
+                    stack.remove(self.span_id)
+                except ValueError:
+                    pass
         if self._trace_restore is not _KEEP:
             context.trace = self._trace_restore
         if fields:
@@ -202,10 +218,13 @@ class TelemetrySpan:
         # span was open receives it.
         route = hub._routes.get(self._cls, hub._fallback)
         if route is not None:
-            hub._deliver(
-                route, self._cls, self.span_id, self.parent_span_id,
-                self.started, elapsed_ms, self.trace_id, self._fields,
-            )
+            if route[1]:
+                hub._deliver(
+                    route, self._cls, self.span_id, self.parent_span_id,
+                    self.started, elapsed_ms, self.trace_id, self._fields,
+                )
+            else:
+                hub._reduce(route, self._fields, elapsed_ms)
         return elapsed_ms
 
     def __enter__(self) -> "TelemetrySpan":
@@ -269,6 +288,10 @@ class TelemetryHub:
         #: route of a class absent from ``_routes``: the processors that
         #: take every class, or None when there are none
         self._fallback: Optional[Route] = None
+        #: the event classes some attached processor takes (every
+        #: built-in one while a processor takes everything); emission
+        #: sites test membership before building arguments
+        self.routed: frozenset[type] = frozenset()
         self._attach_lock = threading.Lock()
         self._local = _ThreadContext()
 
@@ -328,6 +351,9 @@ class TelemetryHub:
             for cls, (reducers, recorders) in rows.items()
         }
         self._fallback = ((), tuple(everything), {}) if everything else None
+        self.routed = frozenset(self._routes).union(
+            ALL_EVENT_TYPES if everything else ()
+        )
         self._processors = processors
         self.active = bool(processors)
 
@@ -386,11 +412,15 @@ class TelemetryHub:
 
         A class no attached processor subscribed to gets the shared
         :data:`NOOP_SPAN`: nothing is timed, and the scope neither
-        parents nor mints a trace for what runs inside it.
+        parents nor mints a trace for what runs inside it. A class only
+        aggregators take is timed and keeps the trace, but stays off
+        the span stack (see :class:`TelemetrySpan`).
         """
-        if cls not in self._routes and self._fallback is None:
+        route = self._routes.get(cls, self._fallback)
+        if route is None:
             return NOOP_SPAN
-        return TelemetrySpan(self, cls, parent_id, fields, trace_id)
+        return TelemetrySpan(self, cls, parent_id, fields, trace_id,
+                             bool(route[1]))
 
     # A long-lived scope (a transaction) opens here and closes later
     # with ``span.close(outcome=...)``.
@@ -410,7 +440,8 @@ class TelemetryHub:
         if not route[1]:
             # Aggregators only, the commonest case by far: no span id,
             # clock reading or context lookup is needed.
-            return self._deliver(route, cls, 0, None, 0.0, 0.0, None, fields)
+            self._reduce(route, fields, 0.0)
+            return None
         context = self._local.ctx
         if parent_id is INHERIT:
             stack = context.stack
@@ -422,13 +453,10 @@ class TelemetryHub:
             trace_id, fields,
         )
 
-    def _deliver(self, route: Route, cls: type[TraceEvent], span_id: int,
-                 parent_id: Optional[int], at: float, duration_ms: float,
-                 trace_id: Optional[str],
-                 fields: dict) -> Optional[TraceEvent]:
-        """One emission: reduce it, and build the frozen event only if
-        a recording processor will keep it. Failures are isolated."""
-        reducers, recorders, defaults = route
+    def _reduce(self, route: Route, fields: dict, duration_ms: float) -> None:
+        """Feed one emission to the route's reducers, with the class's
+        field defaults filled in. Failures are isolated."""
+        reducers, __, defaults = route
         if reducers:
             if defaults:
                 fields = {**defaults, **fields}
@@ -438,8 +466,14 @@ class TelemetryHub:
                 except Exception as error:  # must never break rules
                     self.dropped += 1
                     self.last_error = error
-        if not recorders:
-            return None
+
+    def _deliver(self, route: Route, cls: type[TraceEvent], span_id: int,
+                 parent_id: Optional[int], at: float, duration_ms: float,
+                 trace_id: Optional[str], fields: dict) -> TraceEvent:
+        """One emission to a route with recorders: reduce it, then build
+        the frozen event once and hand it to each recorder."""
+        self._reduce(route, fields, duration_ms)
+        recorders = route[1]
         event = cls(
             span_id=span_id, parent_span_id=parent_id, at=at,
             duration_ms=duration_ms, trace_id=trace_id, **fields,

@@ -2,9 +2,9 @@
 
 * :class:`CounterProcessor` — a metrics registry of counters and
   duration histograms plus the lifecycle-stage view over them
-  (:data:`STAGES`); the single source the
-  :meth:`~repro.sentinel.Sentinel.report` counters and the
-  ``health()["latency"]`` percentiles are read from.
+  (:data:`STAGES`), some of its counters read straight from the
+  engine; the ``health()["latency"]`` percentiles and most
+  :meth:`~repro.sentinel.Sentinel.report` counters are read from it.
 * :class:`TraceLogProcessor` — a ring buffer of trace events plus a
   text renderer that rebuilds the span tree (CLI ``trace``).
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections import deque
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.telemetry.events import (
@@ -37,14 +38,12 @@ from repro.telemetry.events import (
     DetachedDispatch,
     DetachedOverflow,
     DetachedQueueWait,
-    Detection,
     GlobalDetectionDelivered,
     GlobalEventReceived,
     GlobalEventSent,
     NotificationReceived,
     NotificationSuppressed,
     RuleExecution,
-    RuleTriggered,
     ShardHop,
     SubtransactionBoundary,
     TraceEvent,
@@ -131,6 +130,28 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
+class Reading:
+    """A counter the engine keeps itself; ``value`` reads it on demand.
+
+    Registered with :meth:`MetricsRegistry.read`, it lists and renders
+    like a :class:`Counter` but costs nothing per event and cannot be
+    dropped by a failing delivery.
+    """
+
+    __slots__ = ("name", "_read")
+
+    def __init__(self, name: str, read: Callable[[], int]):
+        self.name = name
+        self._read = read
+
+    @property
+    def value(self) -> int:
+        return self._read()
+
+    def __repr__(self) -> str:
+        return f"Reading({self.name}={self.value})"
+
+
 class Histogram:
     """Latency summary: count/total/min/max plus octave buckets.
 
@@ -215,7 +236,7 @@ class MetricsRegistry:
     """A flat namespace of named counters and histograms."""
 
     def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
+        self.counters: dict[str, Counter | Reading] = {}
         self.histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -223,6 +244,11 @@ class MetricsRegistry:
         if counter is None:
             counter = self.counters[name] = Counter(name)
         return counter
+
+    def read(self, name: str, read: Callable[[], int]) -> Reading:
+        """Publish a counter kept elsewhere under ``name``."""
+        reading = self.counters[name] = Reading(name, read)
+        return reading
 
     def histogram(self, name: str) -> Histogram:
         histogram = self.histograms.get(name)
@@ -270,13 +296,18 @@ class _CounterFamily(dict):
 class CounterProcessor(Aggregator):
     """Aggregates emissions into a :class:`MetricsRegistry`.
 
-    This registry supersedes the scattered per-module stats objects
-    (``DetectorStats``, ``SchedulerStats``, ...): every counter those
-    structs maintained has a named equivalent here, derived from the
-    same instrumentation points (see ``tests/telemetry/test_parity``).
-    The durations of the built-in span classes additionally land in
-    per-class histograms (``notify.ms``, ``rule.ms``, ``wal.flush.ms``,
-    ...), and :attr:`stages` reads them as the lifecycle stages of
+    Every counter the per-module stats objects (``DetectorStats``,
+    ``SchedulerStats``, ...) maintain has a named equivalent here (see
+    ``tests/telemetry/test_parity``). Most are derived from the
+    emissions; the ones the engine already counts per detection or per
+    trigger — ``graph.detections``, ``graph.detections.<ctx>`` and
+    ``rules.triggers`` — are read from it instead (:meth:`read_engine`),
+    so ``Detection`` and ``RuleTriggered`` are not reduced at all.
+    Condition counts and times come from ``RuleExecution``'s
+    ``condition_ms``, not from ``ConditionEvaluated`` spans. The
+    durations of the built-in span classes land in per-class histograms
+    (``notify.ms``, ``rule.ms``, ``wal.flush.ms``, ...), and
+    :attr:`stages` reads them as the lifecycle stages of
     :data:`STAGES`. Each event class has one reducer, so every duration
     is observed once. An aggregator: no event object is built on its
     account.
@@ -311,8 +342,6 @@ class CounterProcessor(Aggregator):
         batches = counter("detector.batches")
         overflows = counter("detached.overflows")
         overflows_by_policy = _CounterFamily(registry, "detached.overflows.")
-        detections = counter("graph.detections")
-        detections_by_context = _CounterFamily(registry, "graph.detections.")
         subtransactions = _CounterFamily(registry, "txn.sub_")
         transactions = _CounterFamily(registry, "txn.")
         flushes = counter("wal.flushes")
@@ -357,23 +386,21 @@ class CounterProcessor(Aggregator):
             matched.value += fields["matched"]
             observe_batch(duration_ms)
 
-        def on_detection(fields: dict, duration_ms: float) -> None:
-            detections.value += 1
-            detections_by_context[fields["context"]].value += 1
-
-        def on_condition(fields: dict, duration_ms: float) -> None:
-            conditions.value += 1
-            observe_condition(duration_ms)
-
         def on_rule(fields: dict, duration_ms: float) -> None:
-            outcome = rule_outcomes.get(fields["outcome"])
-            if outcome is not None:
-                outcome.value += 1
+            outcome = fields["outcome"]
+            counted = rule_outcomes.get(outcome)
+            if counted is not None:
+                counted.value += 1
+            condition_ms = fields["condition_ms"]
+            # A rule stopped before its condition (nesting limit, a
+            # failing $RULE begin signal) leaves condition_ms at 0.0; a
+            # condition that ran, even one that raised, measured time.
+            if condition_ms > 0.0 or outcome in ("completed", "rejected"):
+                conditions.value += 1
+                observe_condition(condition_ms)
             observe_rule(duration_ms)
             commit_ms = fields["commit_ms"]
-            action_ms = action_time(
-                duration_ms, fields["condition_ms"], commit_ms
-            )
+            action_ms = action_time(duration_ms, condition_ms, commit_ms)
             if fields["lane"] == "async":
                 observe_action_async(action_ms)
             else:
@@ -409,20 +436,18 @@ class CounterProcessor(Aggregator):
             return lambda fields, duration_ms: observe(fields["wait_ms"])
 
         # The hot span classes observe their own duration; the other
-        # span classes are wrapped by _timed.
+        # span classes are wrapped by _timed. ConditionEvaluated is not
+        # reduced: RuleExecution carries its duration as condition_ms.
         timed: dict[type[TraceEvent], Reducer] = {
             NotificationReceived: on_notification,
             BatchIngested: on_batch,
-            ConditionEvaluated: on_condition,
             RuleExecution: on_rule,
         }
         counted: dict[type[TraceEvent], Reducer] = {
             NotificationSuppressed: on_suppressed,
-            RuleTriggered: count("rules.triggers"),
             DetachedDispatch: count("detector.detached_dispatches"),
             DetachedQueueWait: wait("detached_wait"),
             DetachedOverflow: on_detached_overflow,
-            Detection: on_detection,
             ShardHop: wait("shard_hop"),
             SubtransactionBoundary: count_by(subtransactions, "kind"),
             TransactionSpan: count_by(transactions, "outcome"),
@@ -434,6 +459,8 @@ class CounterProcessor(Aggregator):
             ChannelMessage: count_by(channel, "kind"),
         }
         for cls in ALL_EVENT_TYPES:
+            if cls is ConditionEvaluated:
+                continue
             reduce = timed.get(cls)
             if reduce is None:
                 reduce = counted.get(cls)
@@ -441,6 +468,20 @@ class CounterProcessor(Aggregator):
                     reduce = _timed(histogram(f"{cls.stage}.ms"), reduce)
             if reduce is not None:
                 self._reducers[cls] = reduce
+
+    def read_engine(self, detector) -> None:
+        """Publish ``detector``'s own detection and trigger counts as
+        ``graph.detections``, ``graph.detections.<ctx>`` and
+        ``rules.triggers``: read when the registry is, never per event."""
+        read = self.registry.read
+        graph = detector.graph.stats
+        stats = detector.stats
+        read("graph.detections", lambda: graph.detections)
+        by_context = graph.detections_by_context
+        for context in by_context:
+            read(f"graph.detections.{context}",
+                 partial(by_context.__getitem__, context))
+        read("rules.triggers", lambda: stats.triggers)
 
     @property
     def stages(self) -> dict[str, Histogram]:

@@ -48,6 +48,17 @@ class TestHistogramRendering:
         assert "lat_ms_count 3" in lines
         assert any(line.startswith("lat_ms_sum ") for line in lines)
 
+    def test_count_agrees_with_inf_bucket_mid_observe(self):
+        """A scrape landing inside observe() — count bumped, bucket not
+        yet — still renders a consistent series."""
+        histogram = Histogram("x")
+        histogram.observe(1.0)
+        histogram.count += 1  # observe() stopped before its bucket
+        lines = render_histogram("mid_ms", histogram)
+        assert 'mid_ms_bucket{le="+Inf"} 1' in lines
+        assert "mid_ms_count 1" in lines
+        assert_valid_exposition("\n".join(lines))
+
     def test_labelled_series_share_one_declaration(self):
         h1, h2 = Histogram("a"), Histogram("b")
         h1.observe(1.0)

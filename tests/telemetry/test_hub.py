@@ -8,7 +8,7 @@ from repro.telemetry import (
     TelemetryProcessor,
     TraceLogProcessor,
 )
-from repro.telemetry.events import Detection, RuleTriggered
+from repro.telemetry.events import DetachedDispatch, Detection, RuleTriggered
 
 
 class Exploding(TelemetryProcessor):
@@ -80,8 +80,8 @@ class TestFailureIsolation:
         hub = TelemetryHub()
         hub.attach(Exploding())
         counters = hub.attach(CounterProcessor())
-        hub.point(Detection, event_name="e", operator="OR", context="recent")
-        assert counters.registry.value("graph.detections") == 1
+        hub.point(DetachedDispatch, rule_name="r")
+        assert counters.registry.value("detector.detached_dispatches") == 1
         assert hub.dropped == 1
 
 

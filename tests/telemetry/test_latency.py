@@ -4,7 +4,6 @@ from repro.sentinel import Sentinel
 from repro.telemetry import STAGES, CounterProcessor, Histogram
 from repro.telemetry.events import (
     BatchIngested,
-    ConditionEvaluated,
     DetachedQueueWait,
     GraphPropagation,
     NotificationReceived,
@@ -77,8 +76,6 @@ class TestCounterProcessorStages:
         emit(p, BatchIngested, duration_ms=4.0, size=2)
         emit(p, GraphPropagation, duration_ms=0.5, event_name="e",
              operator="PRIM")
-        emit(p, ConditionEvaluated, duration_ms=1.0, rule_name="r",
-             satisfied=True)
         emit(p, RuleExecution, duration_ms=5.0, rule_name="r",
              coupling="immediate", depth=1, condition_ms=1.0, commit_ms=2.0)
         emit(p, RuleExecution, duration_ms=3.0, rule_name="a",
@@ -91,7 +88,9 @@ class TestCounterProcessorStages:
         assert stages["ingest"]["count"] == 2
         assert stages["ingest"]["total_ms"] == 5.0
         assert stages["detect"]["count"] == 1
-        assert stages["condition"]["count"] == 1
+        # one condition per rule execution, from its condition_ms
+        assert stages["condition"]["count"] == 2
+        assert stages["condition"]["total_ms"] == 1.5
         assert stages["commit"]["count"] == 1
         # action time excludes the condition and commit slices
         assert stages["action"]["count"] == 1

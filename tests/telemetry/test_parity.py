@@ -3,12 +3,22 @@
 The metrics registry supersedes the scattered stats dataclasses;
 these tests prove both views of the same instrumentation agree under a
 representative workload, so ``Sentinel.report()`` can be sourced from
-the registry without changing its numbers.
+the registry without changing its numbers. Detection and trigger
+counters are read from the engine itself; they must equal what the
+``Detection`` emissions a recorder asks for would count, and never
+decrease while rules come and go.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro import Persistent, Sentinel
+from repro.core.scheduler import RuleScheduler
+from repro.telemetry import TelemetryProcessor
+from repro.telemetry.events import ConditionEvaluated, Detection
+
+CONTEXTS = ("recent", "chronicle", "continuous", "cumulative")
 
 
 PARITY = [
@@ -86,6 +96,99 @@ def test_report_equals_legacy_report():
     assert metered_dict == bare_dict
     metered.close()
     bare.close()
+
+
+class DetectionTally(TelemetryProcessor):
+    """Counts the ``Detection`` events it is handed, per context."""
+
+    subscriptions = (Detection,)
+
+    def __init__(self):
+        self.by_context = Counter()
+
+    def handle(self, event):
+        self.by_context[event.context] += 1
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_detections_by_context_match_the_emitted_detections(shards):
+    system = Sentinel(name="contexts", shards=shards)
+    tally = system.telemetry.attach(DetectionTally())
+    for name in "abc":
+        system.explicit_event(name)
+    for context in CONTEXTS:
+        system.watch(f"seq_{context}", "a >> b", context=context)
+        system.watch(f"and_{context}", "b & c", context=context)
+    for index, name in enumerate("abcabbacbcaacb" * 3):
+        system.raise_event(name, v=index)
+    registry = system.metrics.registry
+    counters = registry.to_dict()["counters"]
+    for context in CONTEXTS:
+        assert counters[f"graph.detections.{context}"] == (
+            tally.by_context[context]
+        ) > 0
+    assert registry.value("graph.detections") == sum(tally.by_context.values())
+    system.close()
+
+
+class ConditionTally(TelemetryProcessor):
+    """Counts the ``ConditionEvaluated`` spans it is handed."""
+
+    subscriptions = (ConditionEvaluated,)
+
+    def __init__(self):
+        self.count = 0
+
+    def handle(self, event):
+        self.count += 1
+
+
+def test_condition_counts_match_the_emitted_conditions():
+    """Fed from RuleExecution, the condition counter and histogram
+    count a condition that raised and skip a rule stopped by the
+    nesting limit — exactly what ConditionEvaluated spans count."""
+    system = Sentinel(name="conditions", error_policy="abort_rule")
+    tally = system.telemetry.attach(ConditionTally())
+    system.explicit_event("e")
+    system.explicit_event("loop")
+
+    def broken(occurrence):
+        raise ValueError("condition bug")
+
+    system.rule("broken", "e", condition=broken, action=lambda o: None)
+    system.rule("loop", "loop", action=lambda o: system.raise_event("loop"))
+    system.raise_event("e")
+    system.raise_event("e")
+    system.raise_event("loop")
+    assert tally.count == 2 + RuleScheduler.MAX_DEPTH
+    registry = system.metrics.registry
+    assert registry.value("rules.conditions_evaluated") == tally.count
+    assert registry.histograms["condition.ms"].count == tally.count
+    system.close()
+
+
+def test_counters_never_decrease_across_watch_unwatch_churn():
+    system = Sentinel(name="churn")
+    for name in "abcd":
+        system.explicit_event(name)
+    expressions = ["a >> b", "b & c", "c | d", "(a >> b) & c"]
+    registry = system.metrics.registry
+    previous: dict = {}
+    for step in range(40):
+        system.watch(f"w{step}", expressions[step % 4],
+                     context=CONTEXTS[step % 4])
+        if step >= 3:
+            system.unwatch(f"w{step - 3}")
+        for name in "abcdab":
+            system.raise_event(name)
+        current = registry.to_dict()["counters"]
+        for name, value in previous.items():
+            assert current.get(name, 0) >= value, (step, name)
+        previous = current
+    for context in CONTEXTS:
+        assert previous[f"graph.detections.{context}"] > 0
+    assert previous["rules.triggers"] > 0
+    system.close()
 
 
 def test_explicit_raises_counted_separately():

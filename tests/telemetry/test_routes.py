@@ -21,6 +21,7 @@ from repro.telemetry import (
     TraceLogProcessor,
 )
 from repro.telemetry.events import (
+    DetachedDispatch,
     Detection,
     GraphPropagation,
     NotificationReceived,
@@ -308,9 +309,9 @@ class TestFailureIsolation:
         hub.attach(Once())
         log = hub.attach(TraceLogProcessor())
         counters = hub.attach(CounterProcessor())
-        hub.point(Detection, event_name="e", operator="OR", context="recent")
+        hub.point(DetachedDispatch, rule_name="r")
         assert len(log.events()) == 1
-        assert counters.registry.value("graph.detections") == 1
+        assert counters.registry.value("detector.detached_dispatches") == 1
         assert len(hub.processors) == 2
 
 

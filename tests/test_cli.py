@@ -227,4 +227,6 @@ class TestProfileWorkload:
         assert result.returncode == 0, result.stderr
         assert "detect.local seed 3: 300 operations" in result.stdout
         assert "0 mismatches" in result.stdout
-        assert "cumulative" in result.stdout
+        # the cumulative table, then the self-time (tottime) table
+        cumulative = result.stdout.index("Ordered by: cumulative time")
+        assert result.stdout.index("Ordered by: internal time") > cumulative

@@ -5,8 +5,11 @@ Builds the workload exactly as the layer ledger does (it imports
 ``benchmarks.ledger.workloads`` and changes nothing there), runs a
 fixed number of its operations under ``cProfile``, checks the outputs
 against the workload's oracle, and prints the 40 functions with the
-largest cumulative time. A fixed operation count, not a time window,
-makes two profiles of the same seed comparable call for call.
+largest cumulative time, then the 40 with the largest self time
+(``tottime``) — where many cheap calls, like per-emission telemetry,
+add up without ever ranking by cumulative time. A fixed operation
+count, not a time window, makes two profiles of the same seed
+comparable call for call.
 
 Usage::
 
@@ -71,6 +74,7 @@ def profile(name: str, seed: int, events: int) -> str:
     )
     stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats("cumulative").print_stats(TOP)
+    stats.sort_stats("tottime").print_stats(TOP)
     return out.getvalue()
 
 
