@@ -97,8 +97,14 @@ def run_ed1_facade(events: int = 3000) -> dict[str, float]:
     default plus a ``TraceLogProcessor`` (every emission materialised
     as a frozen event). The spread between the samples is the price
     of observing, recorded where the default configuration runs.
+
+    Two more samples price the sentry on a default system: a wrapped
+    method of a class nobody registered (``unwatched``) and of a
+    registered class no rule refers to (``registered_unruled``), both
+    per call through the ``@event`` wrapper.
     """
     from repro.bench.workload import ReactiveSchema
+    from repro.core.reactive import Reactive, event
     from repro.sentinel import Sentinel
     from repro.telemetry import TraceLogProcessor
 
@@ -122,6 +128,25 @@ def run_ed1_facade(events: int = 3000) -> dict[str, float]:
             return events
 
         samples[setting] = _per_event_us(pump)
+        system.close()
+    for setting in ("unwatched", "registered_unruled"):
+        class Quiet(Reactive):
+            @event(end="done")
+            def op(self, v):
+                return v
+
+        system = Sentinel(name=f"ed1-{setting}")
+        if setting == "registered_unruled":
+            system.register_class(Quiet)
+        quiet = Quiet()
+
+        def call() -> int:
+            for index in range(events):
+                quiet.op(index)
+            return events
+
+        call()  # untimed: the route is built on first use
+        samples[setting] = _per_event_us(call)
         system.close()
     return samples
 

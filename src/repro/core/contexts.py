@@ -28,6 +28,11 @@ class ParameterContext(enum.Enum):
     CONTINUOUS = "continuous"
     CUMULATIVE = "cumulative"
 
+    # Every node keys its counters and state by context, so this is
+    # hashed several times per event: by identity, in C (members are
+    # singletons and compare by identity), not by name in Python.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "ParameterContext":
         """Accept the spellings used in Sentinel rule specifications."""

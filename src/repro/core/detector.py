@@ -5,7 +5,8 @@ as a class and hence we have a single instance of this class per
 application"). It owns the event graph, the rule manager, and the rule
 scheduler, and is the single entry point for signaling:
 
-* ``notify`` — primitive (method) events, called from wrapper methods;
+* ``notify`` — primitive (method) events, called from wrapper methods
+  once ``sentry`` found the event armed;
 * ``raise_event`` — explicit events raised by the application;
 * ``advance_time`` / ``poll`` — temporal events;
 * ``signal_system_event`` — the transaction events of the system class.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.clock import Clock, LogicalClock, SimulatedClock
@@ -323,7 +325,8 @@ class LocalEventDetector:
 
         Returns the primitive occurrences generated — one per matching
         primitive event node (a single ``set_price`` call can fire both
-        a class-level and an instance-level event).
+        a class-level and an instance-level event), armed or not: the
+        armed test (:meth:`sentry`) is the caller's.
         """
         self.stats.notifications += 1
         telemetry = self.telemetry
@@ -408,6 +411,33 @@ class LocalEventDetector:
             self._dispatch(propagate)
         return occurrences
 
+    def sentry(self, dynamic: Optional[type], class_name: str,
+               method_name: str, modifier: EventModifier) -> bool:
+        """Is a Notify of this method event armed? The test a wrapper
+        runs before it collects any argument.
+
+        Armed means some matching primitive node has a subscriber: a
+        non-zero context counter (the paper's demand-driven detection),
+        a mark as global, or occurrence listeners on the detector. An
+        unarmed Notify is only counted — no occurrence, clock tick,
+        span or dispatch frame — and False tells the caller to skip
+        :meth:`notify`.
+        """
+        if self.occurrence_listeners:
+            return True
+        marked = self._global_events
+        for node in self.graph.route(class_name, dynamic, method_name,
+                                     modifier):
+            if node._context_counts or (
+                marked and node.display_name in marked
+            ):
+                return True
+        stats = self.stats
+        stats.notifications += 1
+        if self._is_suppressed():
+            stats.suppressed += 1
+        return False
+
     def _ingest_notify(
         self,
         instance: Any,
@@ -421,39 +451,31 @@ class LocalEventDetector:
         """Match one Notify item and signal it (runs inside a dispatch)."""
         if isinstance(modifier, str):
             modifier = EventModifier.parse(modifier)
-        if isinstance(arguments, dict):
-            arguments = tuple(arguments.items())
-        arguments = tuple((k, atomic(v)) for k, v in arguments)
         at = self.clock.tick()
+        nodes = self.graph.route(
+            class_name, None if instance is None else type(instance),
+            method_name, modifier,
+        )
+        if not nodes:
+            return
+        if isinstance(arguments, dict):
+            arguments = arguments.items()
+        arguments = tuple((k, atomic(v)) for k, v in arguments)
         if txn_id is None:
             txn_id = self._top_level_id()
-        # Inheritance property: a method invocation on a subclass
-        # instance matches events declared on any ancestor class.
-        candidates = [class_name]
-        if instance is not None:
-            mro_names = [c.__name__ for c in type(instance).__mro__]
-            if class_name in mro_names:
-                candidates = mro_names
         telemetry = self.telemetry
-        traced = telemetry.active
-        trace = telemetry.current_trace_id() if traced else None
+        trace = telemetry.current_trace_id() if telemetry.active else None
         runtime = self.runtime
         sharded = runtime.active
-        nodes = [
-            node
-            for candidate in candidates
-            for node in self.graph.primitives_for(candidate)
-        ]
+        identity = self._identity(instance)
         for node in nodes:
-            if not node.matches(
-                node.class_name, method_name, modifier, instance
-            ):
+            if node.instance is not None and node.instance is not instance:
                 continue
             occurrence = PrimitiveOccurrence(
                 event_name=node.display_name,
                 at=at,
                 class_name=class_name,
-                instance=self._identity(instance),
+                instance=identity,
                 method_name=method_name,
                 modifier=modifier,
                 arguments=arguments,
@@ -466,17 +488,34 @@ class LocalEventDetector:
                 listener(occurrence)
             if sharded:
                 runtime.submit_occur(node, occurrence)
-            elif traced:
-                with telemetry.span(
-                    GraphPropagation,
-                    event_name=node.display_name,
-                    operator=node.operator,
-                ):
-                    node.occur(occurrence)
             else:
-                node.occur(occurrence)
+                self._occur(node, occurrence)
             if node.display_name in self._global_events:
                 self._forward_global(occurrence)
+
+    def _occur(self, node: "EventNode",
+               occurrence: PrimitiveOccurrence) -> None:
+        """Propagate one occurrence from its leaf, timed as the
+        ``GraphPropagation`` stage: a span only for a recorder, else one
+        ``perf_counter`` pair fed to the aggregators."""
+        telemetry = self.telemetry
+        if GraphPropagation in telemetry.recorded:
+            with telemetry.span(
+                GraphPropagation,
+                event_name=node.display_name, operator=node.operator,
+            ):
+                node.occur(occurrence)
+        elif GraphPropagation in telemetry.routed:
+            started = perf_counter()
+            try:
+                node.occur(occurrence)
+            finally:
+                telemetry.observe(
+                    GraphPropagation, (perf_counter() - started) * 1000.0,
+                    event_name=node.display_name, operator=node.operator,
+                )
+        else:
+            node.occur(occurrence)
 
     def raise_event(self, name: str, txn_id: Optional[int] = None,
                     **params: Any) -> PrimitiveOccurrence:
@@ -587,15 +626,7 @@ class LocalEventDetector:
         if self.runtime.active:
             self.runtime.submit_occur(node, occ)
         else:
-            telemetry = self.telemetry
-            if telemetry.active:
-                with telemetry.span(
-                    GraphPropagation,
-                    event_name=node.display_name, operator=node.operator,
-                ):
-                    node.occur(occ)
-            else:
-                node.occur(occ)
+            self._occur(node, occ)
         if node.display_name in self._global_events:
             self._forward_global(occ)
 
@@ -606,10 +637,13 @@ class LocalEventDetector:
 
         for name, method, modifier in SYSTEM_EVENTS:
             if name == event_name:
-                self.notify(
-                    None, SYSTEM_CLASS, method, modifier,
-                    arguments={"txn_id": txn_id}, txn_id=txn_id,
-                )
+                # A boundary no deferred or commit rule waits for is
+                # only counted (see sentry).
+                if self.sentry(None, SYSTEM_CLASS, method, modifier):
+                    self.notify(
+                        None, SYSTEM_CLASS, method, modifier,
+                        arguments={"txn_id": txn_id}, txn_id=txn_id,
+                    )
                 return
         raise UnknownEvent(f"unknown system event {event_name!r}")
 

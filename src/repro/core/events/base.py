@@ -141,8 +141,7 @@ class EventNode:
         """Deliver a detection of this node to its subscribers."""
         stats = self.graph.stats
         stats.detections += 1
-        # Keyed by the value string: ``_value_`` is a plain attribute
-        # and a str hashes in C, where an enum member hashes in Python.
+        # Keyed by the value string the registry publishes it under.
         stats.detections_by_context[ctx._value_] += 1
         self.detections_by_context[ctx] = (
             self.detections_by_context.get(ctx, 0) + 1

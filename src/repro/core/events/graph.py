@@ -39,6 +39,9 @@ if TYPE_CHECKING:
     from repro.core.rules import Rule
     from repro.telemetry.hub import TelemetryHub
 
+#: most routes :meth:`EventGraph.route` caches between registrations
+MAX_ROUTES = 4096
+
 
 @dataclass
 class GraphStats:
@@ -74,6 +77,10 @@ class EventGraph:
         self._by_name: dict[str, EventNode] = {}
         self._share_index: dict[tuple, EventNode] = {}
         self._class_index: dict[str, list[PrimitiveEventNode]] = {}
+        #: (class name, dynamic type or None, method, modifier) -> the
+        #: primitive nodes a Notify matches, ancestors' included; each
+        #: built on its first miss (see :meth:`route`)
+        self.routes: dict[tuple, tuple[PrimitiveEventNode, ...]] = {}
         self._emit: Optional[Callable[["Rule", "Occurrence"], None]] = None
         #: observers get (node, occurrence, ctx) on every detection;
         #: used by the rule debugger's trace recorder.
@@ -107,12 +114,50 @@ class EventGraph:
             # "Each of the primitive events defined is maintained as a
             # list based on the class on which it is defined."
             self._class_index.setdefault(node.class_name, []).append(node)
+            # Replaced, not cleared: a reader that fetched the old table
+            # before this node was indexed fills that one, never this.
+            self.routes = {}
         if node.name:
             self._register_name(node.name, node)
 
     def primitives_for(self, class_name: str) -> list[PrimitiveEventNode]:
         """Primitive event nodes declared on ``class_name``."""
         return self._class_index.get(class_name, [])
+
+    def route(self, class_name: str, dynamic: Optional[type],
+              method_name: str,
+              modifier: EventModifier) -> tuple[PrimitiveEventNode, ...]:
+        """The primitive nodes a Notify on ``class_name`` matches.
+
+        ``dynamic`` is the notifying instance's type (None without an
+        instance). When ``class_name`` is among its ancestors' names,
+        nodes declared on every ancestor match too — the paper's
+        inheritance property, folded in once per route instead of per
+        call. Instance-level nodes are included; the caller checks
+        their instance.
+        """
+        routes = self.routes
+        key = (class_name, dynamic, method_name, modifier)
+        nodes = routes.get(key)
+        if nodes is None:
+            candidates = [class_name]
+            if dynamic is not None:
+                ancestors = [c.__name__ for c in dynamic.__mro__]
+                if class_name in ancestors:
+                    candidates = ancestors
+            index = self._class_index
+            nodes = tuple(
+                node
+                for candidate in candidates
+                for node in index.get(candidate, ())
+                if node.method_name == method_name
+                and node.modifier is modifier
+            )
+            # Bounded: class names arriving over the wire must not grow
+            # the table without limit; a miss past the bound is rebuilt.
+            if len(routes) < MAX_ROUTES:
+                routes[key] = nodes
+        return nodes
 
     def notify_observers(self, node: EventNode, occurrence, ctx) -> None:
         for observer in self.observers:

@@ -68,7 +68,8 @@ class PrimitiveEventNode(EventNode):
 
         "Once a primitive event node is notified it checks the method
         signature with the one that has been sent" — plus the instance
-        identity for instance-level events.
+        identity for instance-level events: the very object, not one
+        that merely compares equal to it.
         """
         if self.class_name != class_name:
             return False
@@ -76,7 +77,7 @@ class PrimitiveEventNode(EventNode):
             return False
         if self.modifier is not modifier:
             return False
-        if self.instance is not None and self.instance != instance:
+        if self.instance is not None and self.instance is not instance:
             return False
         return True
 

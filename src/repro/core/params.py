@@ -43,6 +43,10 @@ class EventModifier(enum.Enum):
     BEGIN = "begin"
     END = "end"
 
+    # Part of every route key; hashed by identity in C like
+    # ParameterContext.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "EventModifier":
         try:

@@ -8,7 +8,10 @@ collects the parameters into a PARA_LIST and calls ``Notify`` before
 and/or after invoking the user method (paper §3.2.1). Here the same
 transformation happens at class-creation time: methods decorated with
 :func:`event` are replaced by wrappers doing exactly those calls, and
-the original is kept as ``user_<name>``.
+the original is kept as ``user_<name>``. The PARA_LIST collection is
+generated code as well (one function per method, see
+:func:`_make_binder`), and it runs only for a Notify the detector finds
+armed.
 
 Which detector receives the notifications? One local event detector
 exists per application; reactive objects signal the *current* detector,
@@ -80,50 +83,92 @@ def event(begin: Optional[str] = None, end: Optional[str] = None):
     return decorate
 
 
-def _collect_arguments(bind: Callable, args: tuple, kwargs: dict) -> dict:
-    """Bind actual arguments to parameter names (the PARA_LIST content).
+class _Source:
+    """A default rendered by name in generated source."""
 
-    ``bind`` is the method's ``Signature.bind``, resolved once when the
-    wrapper is generated: computing a signature costs more than the
-    rest of a wrapped call.
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _make_binder(fn: Callable) -> Callable[..., dict]:
+    """Generate the PARA_LIST collector of ``fn``.
+
+    The collector has ``fn``'s own parameter list and returns what
+    ``inspect.signature(fn).bind(...)`` plus ``apply_defaults()`` would
+    hold, minus ``self``, so binding is one ordinary call. Defaults are
+    ``fn``'s own objects, referenced by the generated code rather than
+    re-created from their text. A call that does not bind raises
+    ``TypeError`` like the bound method would.
     """
-    try:
-        bound = bind(*args, **kwargs)
-        bound.apply_defaults()
-        return {k: v for k, v in bound.arguments.items() if k != "self"}
-    except TypeError:
-        # Let the user method raise its own, better error.
-        return {}
+    namespace: dict[str, Any] = {}
+    parameters = []
+    signature = inspect.signature(fn)
+    for index, parameter in enumerate(signature.parameters.values()):
+        if parameter.default is not parameter.empty:
+            name = f"_default{index}"
+            namespace[name] = parameter.default
+            parameter = parameter.replace(default=_Source(name))
+        parameters.append(parameter.replace(annotation=parameter.empty))
+    fields = ", ".join(
+        f"{p.name!r}: {p.name}" for p in parameters if p.name != "self"
+    )
+    source = (
+        f"def collect{inspect.Signature(parameters)}:\n"
+        f"    return {{{fields}}}\n"
+    )
+    exec(compile(source, f"<PARA_LIST of {fn.__qualname__}>", "exec"),
+         namespace)
+    return namespace["collect"]
 
 
 def _make_wrapper(fn: Callable, declaration: EventDeclaration) -> Callable:
     """Generate the wrapper method (the post-processor's output).
 
-    The notification names the instance's *dynamic* class so the
-    detector can honor the inheritance property by walking the MRO.
+    Each Notify is first put to the detector's armed test
+    (:meth:`~repro.core.detector.LocalEventDetector.sentry`): a method
+    event nobody subscribes to costs a route lookup, and its arguments
+    are never collected. The notification names the instance's
+    *dynamic* class so the detector can honor the inheritance property.
     """
-    signature = _method_signature(fn)
-    bind = inspect.signature(fn).bind
+    method = _method_signature(fn)
+    collect = _make_binder(fn)
+    begin = bool(declaration.begin_name)
+    end = bool(declaration.end_name)
+    BEGIN, END = EventModifier.BEGIN, EventModifier.END
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
         detector = get_current_detector()
         if detector is None:
             return fn(self, *args, **kwargs)
-        # Parameters are collected in a linked list (PARA_LIST). The
-        # notification carries the instance's *dynamic* class; the
+        # The notification carries the instance's *dynamic* class; the
         # detector matches up the MRO, giving the paper's inheritance
         # property (a class-level rule fires for subclass instances).
-        arguments = _collect_arguments(bind, (self,) + args, kwargs)
-        dynamic_class = type(self).__name__
-        if declaration.begin_name:
-            detector.notify(self, dynamic_class, signature,
-                            EventModifier.BEGIN, arguments)
+        dynamic = type(self)
+        class_name = dynamic.__name__
+        # Parameters are collected (PARA_LIST) once, and only when an
+        # armed event will carry them.
+        arguments = None
+        if begin and detector.sentry(dynamic, class_name, method, BEGIN):
+            try:
+                arguments = collect(self, *args, **kwargs)
+            except TypeError:
+                arguments = {}
+            detector.notify(self, class_name, method, BEGIN, arguments)
         # The original (renamed) user method is invoked.
         result = fn(self, *args, **kwargs)
-        if declaration.end_name:
-            detector.notify(self, dynamic_class, signature,
-                            EventModifier.END, arguments)
+        if end and detector.sentry(dynamic, class_name, method, END):
+            if arguments is None:
+                try:
+                    arguments = collect(self, *args, **kwargs)
+                except TypeError:
+                    arguments = {}
+            detector.notify(self, class_name, method, END, arguments)
         return result
 
     wrapper.__sentinel_wrapped__ = True

@@ -30,7 +30,7 @@ from itertools import groupby
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.params import Occurrence
+from repro.core.params import EventModifier, Occurrence
 from repro.core.rules import Rule
 from repro.errors import RuleExecutionError
 from repro.faults import registry as faults
@@ -396,7 +396,7 @@ class RuleScheduler:
                 # "The rule class can be both reactive and notifiable":
                 # executing a rule is itself a potential primitive event
                 # (class $RULE, method = rule name), enabling meta-rules.
-                self._signal_rule_event(rule, "begin")
+                self._signal_rule_event(rule, EventModifier.BEGIN)
                 # Conditions are side-effect free: suppress event
                 # signaling so a condition calling an event-generating
                 # method does not trigger rules (paper §3.2.1's global
@@ -452,7 +452,7 @@ class RuleScheduler:
                     stats.executions += 1
                 else:
                     stats.condition_rejections += 1
-                self._signal_rule_event(rule, "end")
+                self._signal_rule_event(rule, EventModifier.END)
                 sub = pending.begun if pending is not None else None
                 if sub is not None:
                     if span is not None:
@@ -486,14 +486,17 @@ class RuleScheduler:
                 span.close(outcome=outcome, condition_ms=condition_ms,
                            commit_ms=commit_ms)
 
-    def _signal_rule_event(self, rule: Rule, modifier: str) -> None:
+    def _signal_rule_event(self, rule: Rule, modifier: EventModifier) -> None:
+        """Signal a ``$RULE`` meta-event for ``rule`` if one is armed
+        (otherwise the Notify is only counted)."""
         detector = self._detector
         if not detector.graph.primitives_for(RULE_CLASS):
-            return
-        detector.notify(
-            rule, RULE_CLASS, rule.name, modifier,
-            {"rule": rule.name, "priority": rule.priority},
-        )
+            return  # the common case: no meta-rules at all
+        if detector.sentry(type(rule), RULE_CLASS, rule.name, modifier):
+            detector.notify(
+                rule, RULE_CLASS, rule.name, modifier,
+                {"rule": rule.name, "priority": rule.priority},
+            )
 
     def shutdown(self) -> None:
         lane = self._async_lane

@@ -26,7 +26,9 @@ events flow. A route has two halves:
 An emission of a class nobody asked for costs one dict miss: ``point``
 returns None and ``span`` returns the shared :data:`NOOP_SPAN`. Call
 sites whose keyword arguments cost something to build test the class
-against ``hub.routed`` first.
+against ``hub.routed`` first. A hot scope whose class no recorder takes
+(absent from ``hub.recorded``) may be timed by its call site and handed
+to the reducers with :meth:`TelemetryHub.observe`, building no span.
 
 Delivery is synchronous and best-effort: a reducer or ``handle`` that
 raises never breaks event detection or rule execution; the exception
@@ -292,6 +294,9 @@ class TelemetryHub:
         #: built-in one while a processor takes everything); emission
         #: sites test membership before building arguments
         self.routed: frozenset[type] = frozenset()
+        #: the routed classes some recording processor takes; a call
+        #: site timing a scope itself asks here whether a span is owed
+        self.recorded: frozenset[type] = frozenset()
         self._attach_lock = threading.Lock()
         self._local = _ThreadContext()
 
@@ -353,6 +358,11 @@ class TelemetryHub:
         self._fallback = ((), tuple(everything), {}) if everything else None
         self.routed = frozenset(self._routes).union(
             ALL_EVENT_TYPES if everything else ()
+        )
+        self.recorded = (
+            self.routed if everything
+            else frozenset(cls for cls, (__, recorders) in rows.items()
+                           if recorders)
         )
         self._processors = processors
         self.active = bool(processors)
@@ -452,6 +462,18 @@ class TelemetryHub:
             route, cls, next(_SPAN_IDS), parent_id, perf_counter(), 0.0,
             trace_id, fields,
         )
+
+    def observe(self, cls: type[TraceEvent], duration_ms: float,
+                **fields: Any) -> None:
+        """Feed a scope the caller timed itself to ``cls``'s reducers.
+
+        For hot scopes whose class no recorder takes (``cls`` not in
+        :attr:`recorded`): the aggregators get what the span's close
+        would have given them, and no span object is built.
+        """
+        route = self._routes.get(cls, self._fallback)
+        if route is not None:
+            self._reduce(route, fields, duration_ms)
 
     def _reduce(self, route: Route, fields: dict, duration_ms: float) -> None:
         """Feed one emission to the route's reducers, with the class's

@@ -42,7 +42,6 @@ from repro.telemetry.events import (
     GlobalEventReceived,
     GlobalEventSent,
     NotificationReceived,
-    NotificationSuppressed,
     RuleExecution,
     ShardHop,
     SubtransactionBoundary,
@@ -299,10 +298,12 @@ class CounterProcessor(Aggregator):
     Every counter the per-module stats objects (``DetectorStats``,
     ``SchedulerStats``, ...) maintain has a named equivalent here (see
     ``tests/telemetry/test_parity``). Most are derived from the
-    emissions; the ones the engine already counts per detection or per
-    trigger — ``graph.detections``, ``graph.detections.<ctx>`` and
-    ``rules.triggers`` — are read from it instead (:meth:`read_engine`),
-    so ``Detection`` and ``RuleTriggered`` are not reduced at all.
+    emissions; the ones the engine already counts per notification,
+    detection or trigger — ``detector.notifications``,
+    ``detector.suppressed``, ``graph.detections``,
+    ``graph.detections.<ctx>`` and ``rules.triggers`` — are read from it
+    instead (:meth:`read_engine`), so ``NotificationSuppressed``,
+    ``Detection`` and ``RuleTriggered`` are not reduced at all.
     Condition counts and times come from ``RuleExecution``'s
     ``condition_ms``, not from ``ConditionEvaluated`` spans. The
     durations of the built-in span classes land in per-class histograms
@@ -335,10 +336,8 @@ class CounterProcessor(Aggregator):
         observe_action = self._stages["action"].observe
         observe_action_async = self._stages["action_async"].observe
         observe_commit = self._stages["commit"].observe
-        notifications = counter("detector.notifications")
         raises = counter("detector.raises")
         matched = counter("detector.matched")
-        suppressed = counter("detector.suppressed")
         batches = counter("detector.batches")
         overflows = counter("detached.overflows")
         overflows_by_policy = _CounterFamily(registry, "detached.overflows.")
@@ -357,32 +356,21 @@ class CounterProcessor(Aggregator):
         }
 
         def on_notification(fields: dict, duration_ms: float) -> None:
-            # Explicit raises are not Notify calls; DetectorStats counts
-            # only the latter, and the registry mirrors that split.
+            # Notify calls, armed or not, are read from DetectorStats
+            # (read_engine); only explicit raises are counted here.
             if fields["source"] == "explicit":
                 raises.value += 1
-            else:
-                notifications.value += 1
             matched.value += fields["matched"]
             observe_notify(duration_ms)
-
-        def on_suppressed(fields: dict, duration_ms: float) -> None:
-            notifications.value += 1
-            suppressed.value += 1
 
         def on_detached_overflow(fields: dict, duration_ms: float) -> None:
             overflows.value += 1
             overflows_by_policy[fields["policy"]].value += 1
 
         def on_batch(fields: dict, duration_ms: float) -> None:
-            # A batch is N notifications ingested under one span; mirror
-            # the per-item counters DetectorStats keeps, plus the batch
-            # count.
             batches.value += 1
             if fields["source"] == "explicit":
                 raises.value += fields["size"]
-            else:
-                notifications.value += fields["size"]
             matched.value += fields["matched"]
             observe_batch(duration_ms)
 
@@ -444,7 +432,6 @@ class CounterProcessor(Aggregator):
             RuleExecution: on_rule,
         }
         counted: dict[type[TraceEvent], Reducer] = {
-            NotificationSuppressed: on_suppressed,
             DetachedDispatch: count("detector.detached_dispatches"),
             DetachedQueueWait: wait("detached_wait"),
             DetachedOverflow: on_detached_overflow,
@@ -470,12 +457,17 @@ class CounterProcessor(Aggregator):
                 self._reducers[cls] = reduce
 
     def read_engine(self, detector) -> None:
-        """Publish ``detector``'s own detection and trigger counts as
-        ``graph.detections``, ``graph.detections.<ctx>`` and
-        ``rules.triggers``: read when the registry is, never per event."""
+        """Publish ``detector``'s own notification, suppression,
+        detection and trigger counts as ``detector.notifications``,
+        ``detector.suppressed``, ``graph.detections``,
+        ``graph.detections.<ctx>`` and ``rules.triggers``: read when the
+        registry is, never per event. A Notify nothing is armed for
+        emits nothing, so only the engine can count it."""
         read = self.registry.read
         graph = detector.graph.stats
         stats = detector.stats
+        read("detector.notifications", lambda: stats.notifications)
+        read("detector.suppressed", lambda: stats.suppressed)
         read("graph.detections", lambda: graph.detections)
         by_context = graph.detections_by_context
         for context in by_context:

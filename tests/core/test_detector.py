@@ -1,7 +1,11 @@
 """Tests for the local event detector: primitives, routing, flush."""
 
+from dataclasses import dataclass
+
 import pytest
 
+from repro import Reactive, event
+from repro.core.reactive import get_current_detector, set_current_detector
 from repro.errors import DuplicateEvent, EventError, UnknownEvent
 from tests.core.conftest import collect
 
@@ -75,6 +79,33 @@ class TestPrimitiveEvents:
         det.notify(other, "Account", "deposit", "end")
         det.notify(target, "Account", "deposit", "end")
         assert [occ.instance for occ in fired] == [Account.oid]
+
+    def test_instance_event_ignores_an_equal_object(self, det):
+        """An instance-level event matches by identity: another object
+        that merely compares equal (a dataclass with the same fields)
+        does not fire it."""
+
+        @dataclass
+        class Stock(Reactive):
+            symbol: str
+
+            @event(end="price_set")
+            def set_price(self, price):
+                return price
+
+        a, b = Stock("IBM"), Stock("IBM")
+        assert a == b
+        node = det.primitive_event("a_price", a, "end", "set_price")
+        fired = collect(det, node)
+        previous = get_current_detector()
+        set_current_detector(det)
+        try:
+            b.set_price(price=7)
+            assert fired == []
+            a.set_price(price=8)
+        finally:
+            set_current_detector(previous)
+        assert [occ.params.value("price") for occ in fired] == [8]
 
     def test_arguments_are_recorded_atomically(self, det):
         node = det.primitive_event("e", "S", "end", "m")

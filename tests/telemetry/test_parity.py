@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro import Persistent, Sentinel
+from repro import Persistent, Reactive, Sentinel, event
 from repro.core.scheduler import RuleScheduler
 from repro.telemetry import TelemetryProcessor
 from repro.telemetry.events import ConditionEvaluated, Detection
@@ -43,7 +43,17 @@ def stats_value(system, owner, fieldname):
     return getattr(stats, fieldname)
 
 
+class Unwatched(Reactive):
+    """Evented, but no rule (or primitive event) ever refers to it."""
+
+    @event(end="poked")
+    def poke(self, n):
+        return n
+
+
 def run_workload(system):
+    system.activate()
+    probe = Unwatched()
     system.explicit_event("e")
     system.explicit_event("f")
     seq = system.detector.define("ef", (system.detector.event('e') >> system.detector.event('f')))
@@ -61,11 +71,15 @@ def run_workload(system):
     def querying(occ):
         # Method notifications from inside a condition are suppressed.
         system.detector.notify(None, "Probe", "peek", "end", {})
+        # ... and so are unarmed wrapped calls, which notify nothing.
+        probe.poke(0)
         return False
 
     system.rule("nosy", "f", condition=querying, action=lambda o: None)
 
+    probe.poke(1)  # unarmed, outside a condition
     with system.transaction():
+        probe.poke(2)
         system.raise_event("e", n=1)
         system.raise_event("e", n=0)
         system.raise_event("f", n=1)
