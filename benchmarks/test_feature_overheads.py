@@ -163,3 +163,32 @@ def test_named_priority_resolution_overhead(named, benchmark):
                  priority=priority)
     benchmark(lambda: det.raise_event("e"))
     det.shutdown()
+
+
+def test_dispatch_lock_overhead_is_marginal():
+    """raise_event adds an activation frame and one uncontended RLock
+    acquisition over the inline core (tick + ``node.occur``); gate it
+    generously to catch accidental heavy-weighting of the hot path."""
+    from repro.core.params import PrimitiveOccurrence
+
+    det = LocalEventDetector()
+    det.explicit_event("e")
+    det.rule("r", "e", context="recent", action=lambda occ: None)
+    node = det.graph.get("e")
+    n = 3000
+
+    start = time.perf_counter()
+    for k in range(n):
+        det.raise_event("e", n=k)
+    dispatched = time.perf_counter() - start
+
+    start = time.perf_counter()
+    for k in range(n):
+        node.occur(PrimitiveOccurrence(
+            event_name="e", at=det.clock.tick(), class_name="$EXPLICIT",
+            arguments=(("n", k),),
+        ))
+    raw = time.perf_counter() - start
+
+    det.shutdown()
+    assert dispatched < raw * 3 + 0.05, (dispatched, raw)

@@ -4,8 +4,9 @@ Two halves:
 
 * :func:`run_quick` executes the core benchmark set inline — BEAST
   ED-1 (primitive detection overhead), ED-2 (composite operator
-  detection), RM-1 (rule-fanout dispatch), and the serving loopback
-  throughput — sized to finish in seconds, and appends one
+  detection), RM-1 (rule-fanout dispatch), MP-8 (eight producer
+  threads into one detector), and the serving loopback throughput —
+  sized to finish in seconds, and appends one
   schema-versioned point per benchmark to a trajectory file
   (``BENCH_core.json`` at the repo root, via
   :func:`repro.bench.record.record`).
@@ -196,6 +197,47 @@ def run_rm1(raises: int = 400) -> dict[str, float]:
     return samples
 
 
+def run_mp8(per_thread: int = 1000) -> dict[str, float]:
+    """MP-8: eight producer threads into one detector, events/sec.
+
+    Each barrier-released thread raises its own explicit event, so the
+    producers share only the detector's ingestion lock. Every
+    occurrence must be counted: throughput bought by losing work fails.
+    """
+    import threading
+
+    from repro.core.detector import LocalEventDetector
+
+    names = [f"mp{i}" for i in range(8)]
+    det = LocalEventDetector(name="mp8")
+    for name in names:
+        det.explicit_event(name)
+        det.rule(f"r_{name}", name, action=lambda occ: None)
+    barrier = threading.Barrier(len(names) + 1)
+
+    def produce(name: str) -> None:
+        barrier.wait(timeout=30)
+        for index in range(per_thread):
+            det.raise_event(name, n=index)
+
+    threads = [threading.Thread(target=produce, args=(name,), daemon=True)
+               for name in names]
+    for thread in threads:
+        thread.start()
+    barrier.wait(timeout=30)
+    start = time.perf_counter()
+    for thread in threads:
+        thread.join(timeout=120)
+    elapsed = time.perf_counter() - start
+    det.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    counted = sum(sum(det.graph.get(name).detections_by_context.values())
+                  for name in names)
+    assert counted == len(names) * per_thread, counted
+    assert det.stats.triggers == counted
+    return {"producers_8": counted / elapsed}
+
+
 def run_serving_loopback(events: int = 1024,
                          batch: int = 32) -> dict[str, float]:
     """Serving loopback ingestion throughput, events/sec."""
@@ -285,6 +327,7 @@ QUICK_BENCHMARKS: dict[str, tuple[str, Callable[[], dict[str, float]]]] = {
     "ED-1-facade": ("us_per_event", run_ed1_facade),
     "ED-2": ("us_per_event", run_ed2),
     "RM-1": ("us_per_event", run_rm1),
+    "MP-8": ("events_per_sec", run_mp8),
     "serving_loopback": ("events_per_sec", run_serving_loopback),
     "async-actions": ("events_per_sec", run_async_actions),
 }

@@ -258,9 +258,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving.tenancy import Tenant
 
     tenants = [Tenant.parse_spec(spec) for spec in args.tenant or []]
-    system = Sentinel(
-        directory=args.directory, name=args.name, shards=args.shards,
-    )
+    system = Sentinel(directory=args.directory, name=args.name)
     server = SentinelServer(
         system, args.host, args.port,
         tenants=tenants, max_frame=args.max_frame,
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=float, default=None,
                        help="serve for N seconds then exit "
                             "(default: until SIGTERM/SIGINT)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="detection shards for the shared system")
     serve.add_argument("--directory", default=None,
                        help="database directory (default: in-memory)")
     serve.add_argument("--name", default="served",

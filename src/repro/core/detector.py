@@ -52,7 +52,6 @@ from repro.core.scheduler import (
     SerialExecutor,
     ThreadedExecutor,
 )
-from repro.core.sharding import ShardedRuntime
 from repro.errors import EventError, UnknownEvent
 from repro.telemetry.events import (
     BatchIngested,
@@ -107,7 +106,6 @@ class LocalEventDetector:
         error_policy: str = "raise",
         name: str = "app",
         telemetry: Optional[TelemetryHub] = None,
-        shards: int = 1,
     ):
         self.name = name
         self.clock = clock if clock is not None else LogicalClock()
@@ -117,15 +115,10 @@ class LocalEventDetector:
         self.graph = EventGraph(self.clock, sharing=sharing,
                                 telemetry=self.telemetry)
         self.graph.set_emitter(self._on_trigger)
-        #: sharded detection runtime. With ``shards == 1`` (default) it
-        #: stays dormant — propagation is the seed's inline recursion,
-        #: merely serialized under a single ingestion stripe. With
-        #: ``shards > 1`` the graph routes every fan-out through the
-        #: runtime's driver (see :mod:`repro.core.sharding`).
-        self.runtime = ShardedRuntime(self, shards)
-        self.graph.shard_map = self.runtime.map
-        if self.runtime.active:
-            self.graph.runtime = self.runtime
+        #: the detector's one lock domain: propagation, flush and
+        #: definition changes made while serving hold it (re-entrant,
+        #: so an action's nested notify on this thread passes).
+        self.lock = threading.RLock()
         self.rules = RuleManager(self)
         from repro.core.priorities import PriorityScheme
 
@@ -371,7 +364,7 @@ class LocalEventDetector:
         method_name, modifier)`` or ``(instance, class_name,
         method_name, modifier, arguments)`` tuples. The whole batch is
         ingested inside a single activation frame — one lock
-        acquisition per shard run instead of one per item, and one
+        acquisition instead of one per item, and one
         :class:`~repro.telemetry.events.BatchIngested` span instead of
         one ``NotificationReceived`` span per item. Each item still
         gets its own clock tick, so occurrence order within the batch
@@ -465,8 +458,6 @@ class LocalEventDetector:
             txn_id = self._top_level_id()
         telemetry = self.telemetry
         trace = telemetry.current_trace_id() if telemetry.active else None
-        runtime = self.runtime
-        sharded = runtime.active
         identity = self._identity(instance)
         for node in nodes:
             if node.instance is not None and node.instance is not instance:
@@ -486,10 +477,7 @@ class LocalEventDetector:
             occurrences.append(occurrence)
             for listener in self.occurrence_listeners:
                 listener(occurrence)
-            if sharded:
-                runtime.submit_occur(node, occurrence)
-            else:
-                self._occur(node, occurrence)
+            self._occur(node, occurrence)
             if node.display_name in self._global_events:
                 self._forward_global(occurrence)
 
@@ -623,10 +611,7 @@ class LocalEventDetector:
     def _raise(self, node: ExplicitEventNode, occ: PrimitiveOccurrence) -> None:
         for listener in self.occurrence_listeners:
             listener(occ)
-        if self.runtime.active:
-            self.runtime.submit_occur(node, occ)
-        else:
-            self._occur(node, occ)
+        self._occur(node, occ)
         if node.display_name in self._global_events:
             self._forward_global(occ)
 
@@ -662,13 +647,7 @@ class LocalEventDetector:
     def poll(self) -> None:
         """Check temporal nodes against the current clock."""
         now = self.clock.now()
-        if self.runtime.active:
-            self._dispatch(lambda: [
-                self.runtime.submit_poll(node, now)
-                for node in self.graph.temporal_nodes()
-            ])
-        else:
-            self._dispatch(lambda: self.graph.poll(now))
+        self._dispatch(lambda: self.graph.poll(now))
 
     # =====================================================================
     # Dispatch machinery
@@ -691,21 +670,12 @@ class LocalEventDetector:
         frames = self._frames()
         frame: list[RuleActivation] = []
         frames.append(frame)
-        runtime = self.runtime
         try:
-            if runtime.active:
-                # Sharded: the propagate closure only stages roots on
-                # this thread's driver; the driver then runs the full
-                # cascade under per-shard locks.
+            # The lock is released before the frame's rules run, so
+            # actions that notify re-enter cleanly (including from
+            # executor threads).
+            with self.lock:
                 propagate()
-                runtime.run()
-            else:
-                # Single shard: seed-style inline recursion, serialized
-                # under the one ingestion stripe. The lock is released
-                # before the frame's rules run, so actions that notify
-                # re-enter cleanly (including from executor threads).
-                with runtime.ingest_lock:
-                    propagate()
         finally:
             frames.pop()
         self._run_frame(frame)
@@ -846,7 +816,7 @@ class LocalEventDetector:
     def flush(self, event_name: Optional[str] = None,
               ctx: Optional[ParameterContext] = None) -> None:
         """Discard pending detection state (transaction boundaries)."""
-        with self.runtime.all_locks():
+        with self.lock:
             self.graph.flush(event_name, ctx)
 
     def _snapshot(self, node: PrimitiveEventNode,

@@ -47,8 +47,6 @@ class EventNode:
         self._state: dict[ParameterContext, Any] = {}
         #: occurrence count per parameter context (monitor ``/graph``)
         self.detections_by_context: dict[ParameterContext, int] = {}
-        #: owner shard (assigned by ``graph.register`` from its shard map)
-        self.shard = 0
         for port, child in enumerate(self.children):
             child.event_subscribers.append((self, port))
         graph.register(self)
@@ -158,12 +156,6 @@ class EventNode:
             )
         if self.graph.observers:
             self.graph.notify_observers(self, occurrence, ctx)
-        runtime = self.graph.runtime
-        if runtime is not None:
-            # Sharded mode: defer the fan-out onto the driver stack so
-            # each subscriber runs under its own shard's lock stripe.
-            runtime.fanout(self, occurrence, ctx)
-            return
         for parent, port in self.event_subscribers:
             if parent.context_active(ctx):
                 self.graph.stats.propagations += 1

@@ -85,13 +85,6 @@ class EventGraph:
         #: observers get (node, occurrence, ctx) on every detection;
         #: used by the rule debugger's trace recorder.
         self.observers: list[Callable] = []
-        #: sharded detection runtime; None keeps the seed's inline
-        #: recursion in ``EventNode.signal`` (set by the detector when
-        #: constructed with ``shards > 1``).
-        self.runtime = None
-        #: node -> shard assignment (a ``repro.core.sharding.ShardMap``);
-        #: when None every node lands on shard 0.
-        self.shard_map = None
 
     # -- wiring ------------------------------------------------------------------
 
@@ -107,9 +100,6 @@ class EventGraph:
         """Called from ``EventNode.__init__``."""
         self._nodes.append(node)
         self.stats.nodes_created += 1
-        node.shard = (
-            self.shard_map.assign(node) if self.shard_map is not None else 0
-        )
         if isinstance(node, PrimitiveEventNode):
             # "Each of the primitive events defined is maintained as a
             # list based on the class on which it is defined."

@@ -104,7 +104,7 @@ class PrimitiveOccurrence(Occurrence):
     #: events approximate that versioning for rule parameters.
     state_snapshot: Optional[tuple[tuple[str, Any], ...]] = None
     #: end-to-end lifecycle id stamped at ingest when telemetry is on;
-    #: rides the occurrence through shard channels, composite operators
+    #: rides the occurrence through composite operators, global channels
     #: and the serving wire so spans anywhere join the same trace tree.
     trace_id: Optional[str] = None
     seq: int = field(default_factory=lambda: next(_SEQ))

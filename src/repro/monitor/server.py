@@ -56,7 +56,7 @@ class MonitorServer:
         self.profiler = profiler
         self.prefix = prefix
         #: callable returning extra exposition lines appended to
-        #: ``/metrics`` at scrape time (per-shard and detached-queue
+        #: ``/metrics`` at scrape time (e.g. the detached-queue
         #: families, which live outside the metrics registry)
         self.extra_metrics = extra_metrics
         monitor = self

@@ -21,22 +21,12 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 if TYPE_CHECKING:
     from repro.core.detector import LocalEventDetector
     from repro.core.scheduler import DetachedRuleQueue
-    from repro.core.sharding import ShardedRuntime
     from repro.sentinel import Sentinel, SystemReport
 
 
 # =========================================================================
 # Building blocks
 # =========================================================================
-
-def shard_health(runtime: "ShardedRuntime") -> dict[str, Any]:
-    """The sharded runtime's slice: count, mode, per-shard counters."""
-    return {
-        "count": runtime.shards,
-        "sharded": runtime.active,
-        "per_shard": runtime.snapshot(),
-    }
-
 
 def detached_queue_health(queue: "DetachedRuleQueue") -> dict[str, Any]:
     """The detached-rule queue's gauges and counters."""
@@ -75,9 +65,8 @@ def detector_health(detector: "LocalEventDetector") -> dict[str, Any]:
     """``LocalEventDetector.health()``: the detector slice of /health."""
     return {
         "name": detector.name,
-        "suppressed": detector._is_suppressed(),
+        "suppressed": detector.stats.suppressed,
         "collect_mode": detector.collect_mode,
-        "shards": shard_health(detector.runtime),
         "rule_errors": detector.scheduler.stats.failures,
         "telemetry": telemetry_health(detector.telemetry),
     }
@@ -102,7 +91,7 @@ def system_health(system: "Sentinel") -> dict[str, Any]:
     }
     if system.metrics is not None:
         # p50/p95/p99 per lifecycle stage (ingest, detect, condition,
-        # action, commit, shard_hop, detached_wait, wire); stages with
+        # action, action_async, commit, detached_wait, wire); stages with
         # no samples are omitted.
         data["latency"] = system.metrics.percentiles()
     for provider in tuple(getattr(system, "extra_health_providers", ())):
@@ -145,35 +134,15 @@ def system_report_dict(report: "SystemReport") -> dict[str, Any]:
 
 def runtime_metric_lines(system: "Sentinel",
                          prefix: str = "sentinel") -> list[str]:
-    """Exposition lines for the per-shard and detached-queue families.
+    """Exposition lines for the detached-queue families and the rest.
 
-    These are live gauges/counters read from the runtime structures at
-    scrape time (not from the metrics registry), labelled by shard:
-    ``<prefix>_shard_occurrences_total{shard="0"} ...`` plus the
-    detached queue's depth/capacity gauges and outcome counters.
+    The detached queue's depth/capacity gauges and outcome counters are
+    read live from the queue at scrape time (not from the metrics
+    registry); the registry's, fault and provider families follow.
     """
     from repro.monitor.prometheus import render_gauge
 
     lines: list[str] = []
-    shard_counters = (
-        "occurrences", "detections", "cross_shard_out", "cross_shard_in",
-        "lock_acquisitions", "forwarded",
-    )
-    rows = system.detector.runtime.snapshot()
-    for metric in shard_counters:
-        family = f"{prefix}_shard_{metric}_total"
-        lines.append(f"# TYPE {family} counter")
-        for row in rows:
-            lines.append(f'{family}{{shard="{row["shard"]}"}} {row[metric]}')
-    family = f"{prefix}_shard_pending"
-    lines.append(f"# TYPE {family} gauge")
-    for row in rows:
-        lines.append(f'{family}{{shard="{row["shard"]}"}} {row["pending"]}')
-    lines.extend(render_gauge(
-        f"{prefix}_shards", system.detector.runtime.shards,
-        help_text="Configured detection shard count",
-    ))
-
     queue = system.detached.snapshot()
     for gauge in ("depth", "active", "capacity"):
         lines.extend(render_gauge(

@@ -220,7 +220,6 @@ class Sentinel(SentinelAPI):
         pool_size: int = 128,
         activate: bool = True,
         metrics: bool = True,
-        shards: int = 1,
         detached_capacity: int = 256,
         detached_policy: str = "block",
         detached_workers: int = 2,
@@ -252,7 +251,6 @@ class Sentinel(SentinelAPI):
             error_policy=error_policy,
             name=name,
             telemetry=self.telemetry,
-            shards=shards,
         )
         if self.metrics is not None:
             self.metrics.read_engine(self.detector)

@@ -16,9 +16,9 @@ without sleeps).
 
 Isolation and robustness:
 
-* definition operations (events, rules) run under the detector's shard
-  locks plus a server-side definition lock, so concurrent tenants
-  cannot corrupt the graph;
+* definition operations (events, rules) run under the detector's lock
+  plus a server-side definition lock, so concurrent tenants cannot
+  corrupt the graph;
 * quota rejections happen before ingestion — a throttled tenant never
   touches shared detection state;
 * per-request errors are answered with the registry code and the
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import (
@@ -228,7 +229,7 @@ class SentinelServer:
         self._sessions: set[_Session] = set()
         self._sessions_lock = threading.Lock()
         #: serializes event/rule definition across tenants (signaling
-        #: is already serialized by the detector's shard stripes)
+        #: is already serialized by the detector's lock)
         self._define_lock = threading.RLock()
         self._closing = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
@@ -683,23 +684,11 @@ class SentinelServer:
             },
         }
 
+    @contextmanager
     def _definitions(self):
-        """Definition critical section: server lock + all shard locks."""
-
-        class _Guard:
-            def __enter__(guard):
-                self._define_lock.acquire()
-                guard.locks = self.system.detector.runtime.all_locks()
-                guard.locks.__enter__()
-                return guard
-
-            def __exit__(guard, *exc):
-                try:
-                    guard.locks.__exit__(*exc)
-                finally:
-                    self._define_lock.release()
-
-        return _Guard()
+        """Definition critical section: server lock + detector lock."""
+        with self._define_lock, self.system.detector.lock:
+            yield
 
     def metric_lines(self, prefix: str = "sentinel") -> list[str]:
         """Per-tenant Prometheus families (see reporting module)."""

@@ -42,7 +42,6 @@ from repro.telemetry.events import (
     NotificationSuppressed,
     RuleExecution,
     RuleTriggered,
-    ShardHop,
     SubtransactionBoundary,
     TraceEvent,
     TransactionSpan,
@@ -87,7 +86,6 @@ __all__ = [
     "DetachedQueueWait",
     "GraphPropagation",
     "Detection",
-    "ShardHop",
     "WireRequest",
     "ConditionEvaluated",
     "RuleExecution",

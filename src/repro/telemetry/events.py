@@ -115,7 +115,7 @@ class BatchIngested(TraceEvent):
 
     One span per batch, in place of one ``NotificationReceived`` span
     per item — amortizing the tracing cost the same way the batch path
-    amortizes shard-lock acquisition. ``size`` is the number of items
+    amortizes the detector lock's acquisition. ``size`` is the number of items
     ingested; ``matched`` counts the primitive occurrences generated.
     """
 
@@ -187,21 +187,6 @@ class Detection(TraceEvent):
     event_name: str
     operator: str
     context: str
-
-
-@dataclass(frozen=True, kw_only=True)
-class ShardHop(TraceEvent):
-    """A cross-shard edge delivery was drained from a shard channel.
-
-    ``wait_ms`` is the time the entry spent buffered between the
-    sending shard's ``fanout`` and the driver draining it on the
-    receiving shard — the shard-hop stage of the lifecycle.
-    """
-
-    stage: ClassVar[str] = "shard.hop"
-
-    shard: int
-    wait_ms: float = 0.0
 
 
 # =========================================================================
@@ -346,7 +331,7 @@ class WireRequest(TraceEvent):
     call when the client carries a telemetry hub; the span's trace and
     span ids travel in the frame's ``ctx`` field, so server-side spans
     parent into this one and the whole detection renders as a single
-    client→server→shard→action tree.
+    client→server→detect→action tree.
     """
 
     stage: ClassVar[str] = "wire"
@@ -391,7 +376,6 @@ ALL_EVENT_TYPES: tuple[type[TraceEvent], ...] = (
     DetachedOverflow,
     GraphPropagation,
     Detection,
-    ShardHop,
     ConditionEvaluated,
     RuleExecution,
     SubtransactionBoundary,

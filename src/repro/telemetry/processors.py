@@ -43,7 +43,6 @@ from repro.telemetry.events import (
     GlobalEventSent,
     NotificationReceived,
     RuleExecution,
-    ShardHop,
     SubtransactionBoundary,
     TraceEvent,
     TransactionSpan,
@@ -57,8 +56,8 @@ Reducer = Callable[[dict, float], None]
 
 #: canonical lifecycle stages of the paper's Notify → detect → condition
 #: → action → commit chain, in pipeline order (a public contract)
-STAGES = ("ingest", "shard_hop", "detect", "condition", "action",
-          "action_async", "commit", "detached_wait", "wire")
+STAGES = ("ingest", "detect", "condition", "action", "action_async",
+          "commit", "detached_wait", "wire")
 
 
 def action_time(duration_ms: float, condition_ms: float,
@@ -435,7 +434,6 @@ class CounterProcessor(Aggregator):
             DetachedDispatch: count("detector.detached_dispatches"),
             DetachedQueueWait: wait("detached_wait"),
             DetachedOverflow: on_detached_overflow,
-            ShardHop: wait("shard_hop"),
             SubtransactionBoundary: count_by(subtransactions, "kind"),
             TransactionSpan: count_by(transactions, "outcome"),
             WalFlush: on_wal_flush,

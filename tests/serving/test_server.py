@@ -24,7 +24,7 @@ from repro.serving.tenancy import Tenant, TenantQuota
 
 @pytest.fixture()
 def system():
-    system = Sentinel(name="served", shards=2)
+    system = Sentinel(name="served")
     try:
         yield system
     finally:

@@ -4,7 +4,7 @@ A client constructed with a telemetry hub opens one ``WireRequest``
 span per call and sends its trace/span ids in the request frame's
 ``ctx`` field; the server adopts them, so server-side lifecycle spans
 parent into the client's wire span and one detection renders as a
-single connected tree — client, server, shard, rule action — under a
+single connected tree — client, server, detection, rule action — under a
 single trace id. Peers that send no context, or malformed context,
 must be served exactly as before.
 """
@@ -26,7 +26,7 @@ from repro.telemetry.events import WireRequest
 
 @pytest.fixture()
 def system():
-    system = Sentinel(name="traced-serve", shards=4)
+    system = Sentinel(name="traced-serve")
     yield system
     system.close()
 
@@ -67,7 +67,7 @@ def single_root(events):
     )],
 )
 def test_detection_is_one_tree_across_the_wire(system, server, transport):
-    """The acceptance test: client call -> server ingest -> shard hop ->
+    """The acceptance test: client call -> server ingest -> detection ->
     rule action is a single connected tree under a single trace id."""
     server_trace = system.telemetry.attach(TraceLogProcessor())
     client, client_trace = traced_client(server, transport)

@@ -1,14 +1,14 @@
 """Concurrency stress: barrier-synchronized ingestion, no lost work.
 
-All producer threads release from a barrier at once so lock stripes
-actually contend. Occurrence counts are asserted per parameter context
-from ``detections_by_context`` (mutated under the owning shard's lock,
-so the counts themselves are the race oracle).
+All producer threads release from a barrier at once, under a shortened
+switch interval, so they contend for the detector's one lock.
+Occurrence counts are asserted per parameter context from
+``detections_by_context`` (mutated under that lock, so the counts
+themselves are the race oracle).
 """
 
+import sys
 import threading
-
-import pytest
 
 from repro.core.contexts import ParameterContext
 from repro.core.detector import LocalEventDetector
@@ -34,18 +34,22 @@ def run_threads(worker, count=THREADS):
         threading.Thread(target=body, args=(i,), daemon=True)
         for i in range(count)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "stress worker wedged"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "stress worker wedged"
+    finally:
+        sys.setswitchinterval(interval)
     assert errors == [], errors
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_disjoint_producers_no_lost_occurrences(shards):
+def test_disjoint_producers_no_lost_occurrences():
     """One event class per thread: every context sees every occurrence."""
-    det = LocalEventDetector(shards=shards)
+    det = LocalEventDetector()
     names = [f"ev{i}" for i in range(THREADS)]
     for name in names:
         det.explicit_event(name)
@@ -63,15 +67,11 @@ def test_disjoint_producers_no_lost_occurrences(shards):
             assert node.detections_by_context.get(ctx, 0) == PER_THREAD, (
                 name, ctx
             )
-    if shards > 1:
-        rows = det.runtime.snapshot()
-        assert sum(r["occurrences"] for r in rows) == THREADS * PER_THREAD
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_contended_single_event_no_lost_occurrences(shards):
-    """Every thread hammers the same event: same-stripe contention."""
-    det = LocalEventDetector(shards=shards)
+def test_contended_single_event_no_lost_occurrences():
+    """Every thread hammers the same event and the same node state."""
+    det = LocalEventDetector()
     det.explicit_event("shared")
     for ctx in CONTEXTS:
         det.rule(f"r:{ctx}", "shared", context=ctx, action=lambda occ: None)
@@ -85,11 +85,10 @@ def test_contended_single_event_no_lost_occurrences(shards):
         assert node.detections_by_context.get(ctx, 0) == THREADS * PER_THREAD
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_same_shard_composite_under_concurrency(shards):
+def test_per_thread_composite_under_concurrency():
     """Per-thread SEQ over the thread's own event: deterministic pair
-    counts per context even while other shards churn."""
-    det = LocalEventDetector(shards=shards)
+    counts per context even while other threads churn."""
+    det = LocalEventDetector()
     names = [f"ev{i}" for i in range(THREADS)]
     pair_nodes = {}
     for name in names:
@@ -112,10 +111,9 @@ def test_same_shard_composite_under_concurrency(shards):
         assert pairs == PER_THREAD - 1, name
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_concurrent_batches(shards):
+def test_concurrent_batches():
     """notify_batch from many threads: batch accounting stays exact."""
-    det = LocalEventDetector(shards=shards)
+    det = LocalEventDetector()
 
     class STOCK:
         def set_price(self, price):
@@ -147,7 +145,7 @@ def test_concurrent_batches(shards):
 
 def test_concurrent_raises_with_detached_rules():
     """Full facade under concurrency: detached queue drains everything."""
-    system = Sentinel(name="stress", shards=4, detached_workers=4)
+    system = Sentinel(name="stress", detached_workers=4)
     try:
         hits = []
         hits_lock = threading.Lock()

@@ -8,7 +8,6 @@ from repro.telemetry.events import (
     GraphPropagation,
     NotificationReceived,
     RuleExecution,
-    ShardHop,
     WireRequest,
 )
 from tests.monitor.helpers import assert_valid_exposition
@@ -80,7 +79,6 @@ class TestCounterProcessorStages:
              coupling="immediate", depth=1, condition_ms=1.0, commit_ms=2.0)
         emit(p, RuleExecution, duration_ms=3.0, rule_name="a",
              coupling="immediate", depth=1, condition_ms=0.5, lane="async")
-        emit(p, ShardHop, shard=1, wait_ms=0.25)
         emit(p, DetachedQueueWait, rule_name="r", wait_ms=3.0)
         emit(p, WireRequest, duration_ms=9.0, op="raise_event")
         stages = p.percentiles()
@@ -96,7 +94,6 @@ class TestCounterProcessorStages:
         assert stages["action"]["count"] == 1
         assert stages["action"]["max_ms"] <= 2.0
         assert stages["action_async"]["max_ms"] == 2.5
-        assert stages["shard_hop"]["max_ms"] == 0.25
         assert stages["detached_wait"]["max_ms"] == 3.0
         assert stages["wire"]["count"] == 1
 
@@ -108,8 +105,8 @@ class TestCounterProcessorStages:
 
     def test_stage_names_are_the_public_contract(self):
         assert STAGES == (
-            "ingest", "shard_hop", "detect", "condition", "action",
-            "action_async", "commit", "detached_wait", "wire",
+            "ingest", "detect", "condition", "action", "action_async",
+            "commit", "detached_wait", "wire",
         )
         assert tuple(CounterProcessor().stages) == STAGES
 
@@ -117,11 +114,11 @@ class TestCounterProcessorStages:
         p = CounterProcessor()
         emit(p, NotificationReceived, duration_ms=1.0, class_name="C",
              method_name="m", modifier="end")
-        emit(p, ShardHop, shard=0, wait_ms=0.5)
+        emit(p, DetachedQueueWait, rule_name="r", wait_ms=0.5)
         text = "\n".join(p.prometheus_lines())
         types = assert_valid_exposition(text)
         assert types["sentinel_stage_latency_ms"] == "histogram"
-        assert 'stage="ingest"' in text and 'stage="shard_hop"' in text
+        assert 'stage="ingest"' in text and 'stage="detached_wait"' in text
         assert text.count("# TYPE") == 1
 
 

@@ -172,8 +172,8 @@ class TestOccurrenceStamping:
         assert "DetachedQueueWait" in kinds
         system.close()
 
-    def test_cross_shard_cascade_keeps_one_trace(self):
-        system = Sentinel(name="sharded-trace", shards=4)
+    def test_composite_cascade_keeps_one_trace(self):
+        system = Sentinel(name="composite-trace")
         trace = system.telemetry.attach(TraceLogProcessor())
         system.primitive_event("p1", "Alpha", "end", "ping")
         system.primitive_event("p2", "Beta", "end", "pong")
@@ -186,9 +186,10 @@ class TestOccurrenceStamping:
         (detection,) = system.detections("w")
         events = trace.for_trace(detection["trace"])
         kinds = {type(event).__name__ for event in events}
-        # Alpha (shard 2) feeds the AND owned by shard 1: the hop is
-        # part of the same trace as the ingest and the rule execution.
-        assert "ShardHop" in kinds
+        # Two classes' occurrences meet in one AND: both propagations,
+        # the composite detection and the rule share the batch's trace.
+        assert "GraphPropagation" in kinds
+        assert "Detection" in kinds
         assert "RuleExecution" in kinds
         assert "BatchIngested" in kinds
         system.close()

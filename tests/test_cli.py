@@ -166,6 +166,12 @@ class TestServe:
         assert args.func.__name__ == "cmd_serve"
         assert args.tenant == ["a:t:eps=5"]
 
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--shards", "2", "--duration", "0"])
+        assert exited.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
     def test_serve_duration_runs_and_exits_cleanly(self, tmp_path, capsys):
         port_file = tmp_path / "port.txt"
         assert main(["serve", "--port", "0",

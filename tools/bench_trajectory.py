@@ -2,7 +2,7 @@
 """Run the core benchmark trajectory and/or gate on regressions.
 
 Appends one schema-versioned point per benchmark (BEAST ED-1, ED-2,
-RM-1, and the serving loopback throughput) to ``BENCH_core.json`` at
+RM-1, MP-8, and the serving loopback throughput) to ``BENCH_core.json`` at
 the repo root, then optionally compares the latest point of every
 benchmark against the median of its history and exits non-zero on
 regression beyond the tolerance band.
