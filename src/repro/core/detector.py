@@ -8,8 +8,15 @@ scheduler, and is the single entry point for signaling:
 * ``notify`` — primitive (method) events, called from wrapper methods
   once ``sentry`` found the event armed;
 * ``raise_event`` — explicit events raised by the application;
+* ``notify_batch`` / ``raise_events`` — many of either under one
+  dispatch;
 * ``advance_time`` / ``poll`` — temporal events;
 * ``signal_system_event`` — the transaction events of the system class.
+
+The first four are thin wrappers over one ingest path (``_ingest``):
+one suppression rule (nothing signaled inside a condition counts), and
+one place where an item is stamped — under the detector lock, so
+timestamps never run backwards in propagation order.
 
 Detection is *immediate-coupled to the application*: when ``notify``
 returns, every immediate rule triggered (transitively) by that event
@@ -92,6 +99,13 @@ def _reject_builder(method: str, replacement: str) -> None:
         "`python tools/migrate_event_algebra.py FILES...` rewrites old "
         "call sites automatically"
     )
+
+
+def _atomic_pairs(arguments: dict[str, Any] | tuple) -> tuple:
+    """Arguments as ``(name, atomic value)`` pairs (a PARA_LIST)."""
+    if isinstance(arguments, dict):
+        arguments = arguments.items()
+    return tuple((k, atomic(v)) for k, v in arguments)
 
 
 class LocalEventDetector:
@@ -321,37 +335,10 @@ class LocalEventDetector:
         a class-level and an instance-level event), armed or not: the
         armed test (:meth:`sentry`) is the caller's.
         """
-        self.stats.notifications += 1
-        telemetry = self.telemetry
-        if self._is_suppressed():
-            self.stats.suppressed += 1
-            if telemetry.active:
-                telemetry.point(
-                    NotificationSuppressed,
-                    class_name=class_name, method_name=method_name,
-                )
-            return []
-        if isinstance(modifier, str):
-            modifier = EventModifier.parse(modifier)
-        occurrences: list[PrimitiveOccurrence] = []
-
-        def propagate() -> None:
-            self._ingest_notify(
-                instance, class_name, method_name, modifier, arguments,
-                txn_id, occurrences,
-            )
-
-        if telemetry.active:
-            with telemetry.span(
-                NotificationReceived,
-                class_name=class_name, method_name=method_name,
-                modifier=modifier.value,
-            ) as span:
-                self._dispatch(propagate)
-                span.set(matched=len(occurrences))
-        else:
-            self._dispatch(propagate)
-        return occurrences
+        return self._ingest(
+            (instance, class_name, method_name, modifier, arguments),
+            txn_id, explicit=False,
+        )
 
     def notify_batch(
         self,
@@ -371,38 +358,34 @@ class LocalEventDetector:
         is the item order, and the triggered rules run once, after the
         last item's cascade.
         """
-        items = list(items)
-        self.stats.batches += 1
-        self.stats.notifications += len(items)
-        telemetry = self.telemetry
-        if self._is_suppressed():
-            self.stats.suppressed += len(items)
-            if telemetry.active:
-                telemetry.point(
-                    NotificationSuppressed,
-                    class_name="$BATCH", method_name=f"{len(items)} items",
-                )
-            return []
-        occurrences: list[PrimitiveOccurrence] = []
+        return self._ingest(list(items), txn_id, explicit=False)
 
-        def propagate() -> None:
-            for item in items:
-                instance, class_name, method_name, modifier = item[:4]
-                arguments = item[4] if len(item) > 4 else ()
-                self._ingest_notify(
-                    instance, class_name, method_name, modifier,
-                    arguments, txn_id, occurrences,
-                )
+    def raise_event(self, name: str, txn_id: Optional[int] = None,
+                    **params: Any) -> Optional[PrimitiveOccurrence]:
+        """Raise an explicit (abstract) event with keyword parameters.
 
-        if telemetry.active:
-            with telemetry.span(
-                BatchIngested, size=len(items), source="method",
-            ) as span:
-                self._dispatch(propagate)
-                span.set(matched=len(occurrences))
-        else:
-            self._dispatch(propagate)
-        return occurrences
+        Returns its occurrence, or None when raised inside a condition
+        (suppressed, as every signal there is).
+        """
+        occurrences = self._ingest((name, params), txn_id, explicit=True)
+        return occurrences[0] if occurrences else None
+
+    def raise_events(
+        self,
+        events,
+        txn_id: Optional[int] = None,
+    ) -> list[PrimitiveOccurrence]:
+        """Raise many explicit events under one dispatch.
+
+        ``events`` is an iterable of event names or ``(name, params)``
+        pairs (``params`` a dict). Like :meth:`notify_batch`, the whole
+        batch shares one activation frame and one
+        :class:`~repro.telemetry.events.BatchIngested` span; triggered
+        rules run once, after the last event's cascade. Every name is
+        resolved before any event is signaled, so an unknown or
+        non-explicit name raises without a partial batch.
+        """
+        return self._ingest(list(events), txn_id, explicit=True)
 
     def sentry(self, dynamic: Optional[type], class_name: str,
                method_name: str, modifier: EventModifier) -> bool:
@@ -431,61 +414,159 @@ class LocalEventDetector:
             stats.suppressed += 1
         return False
 
-    def _ingest_notify(
-        self,
-        instance: Any,
-        class_name: str,
-        method_name: str,
-        modifier: EventModifier | str,
-        arguments: dict[str, Any] | tuple,
-        txn_id: Optional[int],
-        occurrences: list[PrimitiveOccurrence],
-    ) -> None:
-        """Match one Notify item and signal it (runs inside a dispatch)."""
+    def _ingest(self, items, txn_id: Optional[int],
+                explicit: bool) -> list[PrimitiveOccurrence]:
+        """The one way in behind the four signaling methods.
+
+        ``items`` is one item, or a list of them for a batch; method
+        items are Notify tuples, explicit items names or ``(name,
+        params)`` pairs. Every item is resolved (name, modifier,
+        arguments) before anything is signaled, so a bad one raises
+        without a partial batch. Inside a condition the call is only
+        counted as suppressed. Otherwise one activation frame covers
+        it, traced as one ``NotificationReceived`` (single item) or
+        ``BatchIngested`` (batch) span.
+        """
+        stats = self.stats
+        batch = items.__class__ is list
+        size = len(items) if batch else 1
+        if not explicit:
+            stats.notifications += size
+        resolve = self._explicit_entry if explicit else self._method_entry
+        if batch:
+            entries = [resolve(item) for item in items]
+            stats.batches += 1
+        else:
+            entries = (resolve(items),)
+        occurrences: list[PrimitiveOccurrence] = []
+        telemetry = self.telemetry
+        if self._is_suppressed():
+            stats.suppressed += size
+            if telemetry.active:
+                if batch:
+                    class_name, method_name = "$BATCH", f"{size} items"
+                elif explicit:
+                    class_name, method_name = "$EXPLICIT", entries[0][1]
+                else:
+                    class_name, method_name = entries[0][1], entries[0][2]
+                telemetry.point(
+                    NotificationSuppressed,
+                    class_name=class_name, method_name=method_name,
+                )
+            return occurrences
+        if not telemetry.active:
+            self._dispatch(self._signal, entries, txn_id, explicit,
+                           occurrences)
+            return occurrences
+        if batch:
+            span = telemetry.span(
+                BatchIngested, size=size,
+                source="explicit" if explicit else "method",
+            )
+        elif explicit:
+            span = telemetry.span(
+                NotificationReceived, class_name="$EXPLICIT",
+                method_name=entries[0][1], modifier="raise",
+                source="explicit",
+            )
+        else:
+            entry = entries[0]
+            span = telemetry.span(
+                NotificationReceived, class_name=entry[1],
+                method_name=entry[2], modifier=entry[3].value,
+            )
+        with span:
+            self._dispatch(self._signal, entries, txn_id, explicit,
+                           occurrences)
+            span.set(matched=len(occurrences))
+        return occurrences
+
+    def _method_entry(self, item) -> tuple:
+        """A Notify item as ``(instance, class_name, method_name,
+        modifier, arguments)``, its modifier parsed and its arguments
+        made atomic pairs."""
+        if len(item) == 5:
+            instance, class_name, method_name, modifier, arguments = item
+        else:
+            instance, class_name, method_name, modifier = item
+            arguments = ()
         if isinstance(modifier, str):
             modifier = EventModifier.parse(modifier)
-        at = self.clock.tick()
-        nodes = self.graph.route(
-            class_name, None if instance is None else type(instance),
-            method_name, modifier,
-        )
-        if not nodes:
-            return
+        # _atomic_pairs inlined: this runs once per wrapped method call.
         if isinstance(arguments, dict):
             arguments = arguments.items()
-        arguments = tuple((k, atomic(v)) for k, v in arguments)
-        if txn_id is None:
-            txn_id = self._top_level_id()
+        return (instance, class_name, method_name, modifier,
+                tuple((k, atomic(v)) for k, v in arguments))
+
+    def _explicit_entry(self, item) -> tuple:
+        """An explicit item (a name or ``(name, params)``) as ``(node,
+        name, arguments)``."""
+        name, params = (item, ()) if isinstance(item, str) else item
+        node = self.graph.get(name)
+        if not isinstance(node, ExplicitEventNode):
+            raise EventError(
+                f"{name!r} is not an explicit event; only explicit events "
+                f"can be raised directly"
+            )
+        return node, name, _atomic_pairs(params)
+
+    def _signal(self, entries, txn_id: Optional[int], explicit: bool,
+                occurrences: list[PrimitiveOccurrence]) -> None:
+        """Stamp and propagate resolved entries (under the lock, so
+        timestamps are non-decreasing in propagation order)."""
         telemetry = self.telemetry
         trace = telemetry.current_trace_id() if telemetry.active else None
-        identity = self._identity(instance)
-        for node in nodes:
-            if node.instance is not None and node.instance is not instance:
+        if txn_id is None:
+            txn_id = self._top_level_id()
+        tick = self.clock.tick
+        for entry in entries:
+            at = tick()
+            if explicit:
+                node, name, arguments = entry
+                self._occur(node, PrimitiveOccurrence(
+                    event_name=name,
+                    at=at,
+                    class_name="$EXPLICIT",
+                    arguments=arguments,
+                    txn_id=txn_id,
+                    trace_id=trace,
+                ), occurrences)
                 continue
-            occurrence = PrimitiveOccurrence(
-                event_name=node.display_name,
-                at=at,
-                class_name=class_name,
-                instance=identity,
-                method_name=method_name,
-                modifier=modifier,
-                arguments=arguments,
-                txn_id=txn_id,
-                state_snapshot=self._snapshot(node, instance),
-                trace_id=trace,
+            instance, class_name, method_name, modifier, arguments = entry
+            nodes = self.graph.route(
+                class_name, None if instance is None else type(instance),
+                method_name, modifier,
             )
-            occurrences.append(occurrence)
-            for listener in self.occurrence_listeners:
-                listener(occurrence)
-            self._occur(node, occurrence)
-            if node.display_name in self._global_events:
-                self._forward_global(occurrence)
+            if not nodes:
+                continue
+            identity = self._identity(instance)
+            for node in nodes:
+                if node.instance is not None and node.instance is not instance:
+                    continue
+                self._occur(node, PrimitiveOccurrence(
+                    event_name=node.display_name,
+                    at=at,
+                    class_name=class_name,
+                    instance=identity,
+                    method_name=method_name,
+                    modifier=modifier,
+                    arguments=arguments,
+                    txn_id=txn_id,
+                    state_snapshot=self._snapshot(node, instance)
+                    if node.snapshot_state else None,
+                    trace_id=trace,
+                ), occurrences)
 
-    def _occur(self, node: "EventNode",
-               occurrence: PrimitiveOccurrence) -> None:
-        """Propagate one occurrence from its leaf, timed as the
-        ``GraphPropagation`` stage: a span only for a recorder, else one
-        ``perf_counter`` pair fed to the aggregators."""
+    def _occur(self, node: "EventNode", occurrence: PrimitiveOccurrence,
+               occurrences: list[PrimitiveOccurrence]) -> None:
+        """Record one occurrence, show it to the occurrence listeners,
+        propagate it from its leaf and, if its event is marked global,
+        forward it. Propagation is timed as the ``GraphPropagation``
+        stage: a span only for a recorder, else one ``perf_counter``
+        pair fed to the aggregators."""
+        occurrences.append(occurrence)
+        for listener in self.occurrence_listeners:
+            listener(occurrence)
         telemetry = self.telemetry
         if GraphPropagation in telemetry.recorded:
             with telemetry.span(
@@ -504,116 +585,8 @@ class LocalEventDetector:
                 )
         else:
             node.occur(occurrence)
-
-    def raise_event(self, name: str, txn_id: Optional[int] = None,
-                    **params: Any) -> PrimitiveOccurrence:
-        """Raise an explicit (abstract) event with keyword parameters."""
-        node = self.graph.get(name)
-        if not isinstance(node, ExplicitEventNode):
-            raise EventError(
-                f"{name!r} is not an explicit event; only explicit events "
-                f"can be raised directly"
-            )
-        at = self.clock.tick()
-        if txn_id is None:
-            txn_id = self._top_level_id()
-
-        def make(trace: Optional[str]) -> PrimitiveOccurrence:
-            return PrimitiveOccurrence(
-                event_name=name,
-                at=at,
-                class_name="$EXPLICIT",
-                arguments=tuple((k, atomic(v)) for k, v in params.items()),
-                txn_id=txn_id,
-                trace_id=trace,
-            )
-
-        telemetry = self.telemetry
-        if telemetry.active:
-            with telemetry.span(
-                NotificationReceived,
-                class_name="$EXPLICIT", method_name=name, modifier="raise",
-                source="explicit", matched=1,
-            ):
-                # Constructed inside the span so the occurrence carries
-                # the trace the span minted (or inherited).
-                occurrence = make(telemetry.current_trace_id())
-                self._dispatch(lambda: self._raise(node, occurrence))
-        else:
-            occurrence = make(None)
-            self._dispatch(lambda: self._raise(node, occurrence))
-        return occurrence
-
-    def raise_events(
-        self,
-        events,
-        txn_id: Optional[int] = None,
-    ) -> list[PrimitiveOccurrence]:
-        """Raise many explicit events under one dispatch.
-
-        ``events`` is an iterable of event names or ``(name, params)``
-        pairs (``params`` a dict). Like :meth:`notify_batch`, the whole
-        batch shares one activation frame and one
-        :class:`~repro.telemetry.events.BatchIngested` span; triggered
-        rules run once, after the last event's cascade. Every name is
-        resolved before any event is signaled, so an unknown or
-        non-explicit name raises without a partial batch.
-        """
-        items: list[tuple[str, dict]] = []
-        for item in events:
-            if isinstance(item, str):
-                items.append((item, {}))
-            else:
-                name, params = item
-                items.append((name, dict(params)))
-        nodes = []
-        for name, __ in items:
-            node = self.graph.get(name)
-            if not isinstance(node, ExplicitEventNode):
-                raise EventError(
-                    f"{name!r} is not an explicit event; only explicit "
-                    f"events can be raised directly"
-                )
-            nodes.append(node)
-        self.stats.batches += 1
-        occurrences: list[PrimitiveOccurrence] = []
-
-        def propagate() -> None:
-            telemetry = self.telemetry
-            trace = telemetry.current_trace_id() if telemetry.active else None
-            for node, (name, params) in zip(nodes, items):
-                at = self.clock.tick()
-                tid = self._top_level_id() if txn_id is None else txn_id
-                occurrence = PrimitiveOccurrence(
-                    event_name=name,
-                    at=at,
-                    class_name="$EXPLICIT",
-                    arguments=tuple(
-                        (k, atomic(v)) for k, v in params.items()
-                    ),
-                    txn_id=tid,
-                    trace_id=trace,
-                )
-                occurrences.append(occurrence)
-                self._raise(node, occurrence)
-
-        telemetry = self.telemetry
-        if telemetry.active:
-            with telemetry.span(
-                BatchIngested, size=len(items), source="explicit",
-                matched=len(items),
-            ):
-                self._dispatch(propagate)
-        else:
-            self._dispatch(propagate)
-        return occurrences
-
-    def _raise(self, node: ExplicitEventNode, occ: PrimitiveOccurrence) -> None:
-        for listener in self.occurrence_listeners:
-            listener(occ)
-        self._occur(node, occ)
         if node.display_name in self._global_events:
-            self._forward_global(occ)
+            self._forward_global(occurrence)
 
     def signal_system_event(self, event_name: str,
                             txn_id: Optional[int] = None) -> None:
@@ -646,8 +619,7 @@ class LocalEventDetector:
 
     def poll(self) -> None:
         """Check temporal nodes against the current clock."""
-        now = self.clock.now()
-        self._dispatch(lambda: self.graph.poll(now))
+        self._dispatch(self.graph.poll, self.clock.now())
 
     # =====================================================================
     # Dispatch machinery
@@ -660,8 +632,8 @@ class LocalEventDetector:
             self._local.frames = frames
         return frames
 
-    def _dispatch(self, propagate: Callable[[], None]) -> None:
-        """Run a propagation, then execute the rules it triggered.
+    def _dispatch(self, propagate: Callable[..., None], *args: Any) -> None:
+        """Run ``propagate(*args)``, then execute the rules it triggered.
 
         The activation frame is popped *before* the scheduler runs, so
         rules triggered from inside an action (via a nested notify) get
@@ -675,7 +647,7 @@ class LocalEventDetector:
             # actions that notify re-enter cleanly (including from
             # executor threads).
             with self.lock:
-                propagate()
+                propagate(*args)
         finally:
             frames.pop()
         self._run_frame(frame)
@@ -746,7 +718,7 @@ class LocalEventDetector:
     # -- suppression (conditions are side-effect free) ---------------------------
 
     def _is_suppressed(self) -> bool:
-        return getattr(self._local, "suppressed", False)
+        return self._local.__dict__.get("suppressed", False)
 
     @contextmanager
     def signals_suppressed(self):
@@ -821,8 +793,8 @@ class LocalEventDetector:
 
     def _snapshot(self, node: PrimitiveEventNode,
                   instance: Any) -> Optional[tuple]:
-        """Copy the object's state for snapshot-enabled events."""
-        if not node.snapshot_state or instance is None:
+        """Copy the object's state for a snapshot-enabled event."""
+        if instance is None:
             return None
         if hasattr(instance, "persistent_state"):
             state = instance.persistent_state()
@@ -831,7 +803,7 @@ class LocalEventDetector:
                 k: v for k, v in vars(instance).items()
                 if not k.startswith("_")
             }
-        return tuple((k, atomic(v)) for k, v in state.items())
+        return _atomic_pairs(state)
 
     def _identity(self, instance: Any) -> Any:
         if instance is None:

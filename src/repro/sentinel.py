@@ -21,11 +21,9 @@ Wires together every module of the architecture in Figure 1:
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
@@ -225,8 +223,6 @@ class Sentinel(SentinelAPI):
         detached_workers: int = 2,
         detached_spill=None,
         detections_capacity: int = 1024,
-        ingest_capacity: int = 1024,
-        ingest_batch: int = 64,
     ):
         self.name = name
         #: one telemetry hub shared by every layer (detector, event
@@ -268,12 +264,6 @@ class Sentinel(SentinelAPI):
             telemetry=self.telemetry,
         )
         self._detached_lock = threading.Lock()
-        #: streaming front door (see :meth:`ingest`), created on first
-        #: use so systems that never stream pay nothing for it
-        self._ingest: Optional[_IngestState] = None
-        self._ingest_lock = threading.Lock()
-        self._ingest_capacity = ingest_capacity
-        self._ingest_batch = ingest_batch
         self._closing = False
         self._local = threading.local()
         self._closed = False
@@ -436,7 +426,7 @@ class Sentinel(SentinelAPI):
         )
 
     def raise_event(self, name: str, txn_id: Optional[int] = None,
-                    **params: Any) -> PrimitiveOccurrence:
+                    **params: Any) -> Optional[PrimitiveOccurrence]:
         return self.detector.raise_event(name, txn_id=txn_id, **params)
 
     def raise_events(self, events,
@@ -453,71 +443,6 @@ class Sentinel(SentinelAPI):
 
     def advance_time(self, delta: float) -> None:
         self.detector.advance_time(delta)
-
-    # =====================================================================
-    # Streaming ingestion (the awaitable front door)
-    # =====================================================================
-
-    async def ingest(self, item) -> None:
-        """Admit one event into the streaming front door (awaitable).
-
-        ``item`` is an event name, a ``(name, params)`` pair (both raise
-        explicit events) or a 4/5-tuple Notify item as accepted by
-        :meth:`notify_batch`. Items are buffered on a bounded asyncio
-        queue (``ingest_capacity``) and applied to the detector in
-        admission order in batches of up to ``ingest_batch`` — awaiting
-        ``ingest`` on a full queue *suspends the caller* until the
-        drain catches up, which is the backpressure contract: a fast
-        producer is slowed instead of memory growing without bound.
-
-        Await it from any event loop (or several at once); the entry is
-        bridged to the ingestion loop thread-safely. Detections are
-        asynchronous with the caller — ``await`` returns when the item
-        is *accepted*, not when its rules ran; use :meth:`ingest_flush`
-        for a barrier.
-        """
-        entry = _ingest_entry(item)
-        state = self._ingest_state()
-        await state.put(entry)
-
-    def ingest_flush(self, timeout: Optional[float] = 30.0) -> None:
-        """Block until every accepted item has been applied (a barrier
-        for tests and orderly handoffs). Raises ``TimeoutError`` if the
-        backlog did not drain in ``timeout`` seconds."""
-        state = self._ingest
-        if state is not None:
-            state.flush(timeout)
-
-    def ingest_stats(self) -> dict:
-        """Counters for the streaming front door (all zero until the
-        first :meth:`ingest`)."""
-        state = self._ingest
-        if state is None:
-            return {
-                "accepted": 0, "flushed": 0, "flushes": 0,
-                "depth": 0, "errors": 0,
-                "capacity": self._ingest_capacity,
-                "batch": self._ingest_batch,
-            }
-        return state.snapshot()
-
-    def _ingest_state(self) -> "_IngestState":
-        state = self._ingest
-        if state is None:
-            with self._ingest_lock:
-                state = self._ingest
-                if state is None:
-                    if self._closed or self._closing:
-                        raise RuntimeError(
-                            f"sentinel {self.name!r} is closed"
-                        )
-                    state = _IngestState(
-                        self, self._ingest_capacity, self._ingest_batch
-                    )
-                    self._ingest = state
-        if state.closed:
-            raise RuntimeError("ingest is closed")
-        return state
 
     # =====================================================================
     # Watched rules and recorded detections (the SentinelAPI surface)
@@ -1049,13 +974,6 @@ class Sentinel(SentinelAPI):
         """Shut down: join detached rules, abort open work, close the DB."""
         if self._closed:
             return
-        # The ingest front door closes first, while the async lane is
-        # still alive: buffered items flush through the detector (and
-        # may still trigger rules, including detached ones drained
-        # below). Late ingest() calls raise RuntimeError.
-        ingest = self._ingest
-        if ingest is not None:
-            ingest.close()
         with self._detached_lock:
             # From here on, detached dispatches run inline on their
             # triggering thread instead of enqueuing (see _run_detached),
@@ -1092,201 +1010,3 @@ class Sentinel(SentinelAPI):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# =========================================================================
-# Streaming-ingestion internals
-# =========================================================================
-
-#: queue sentinel telling the drain task to finish and exit
-_CLOSE = object()
-
-
-def _ingest_entry(item) -> tuple:
-    """Normalize one :meth:`Sentinel.ingest` item to ``(kind, payload)``.
-
-    ``kind`` is ``"raise"`` (explicit events, fed to ``raise_events``)
-    or ``"notify"`` (method notifications, fed to ``notify_batch``).
-    Normalizing at admission keeps malformed items failing in the
-    caller's frame instead of asynchronously inside the drain task.
-    """
-    if isinstance(item, str):
-        return ("raise", item)
-    if isinstance(item, tuple):
-        if len(item) == 2:
-            return ("raise", item)
-        if len(item) in (4, 5):
-            return ("notify", item)
-    raise TypeError(
-        "ingest() items must be an event name, a (name, params) pair, "
-        f"or a 4/5-tuple notify item; got {item!r}"
-    )
-
-
-class _IngestState:
-    """The live machinery behind :meth:`Sentinel.ingest`.
-
-    A bounded :class:`asyncio.Queue` on the detector's async-lane loop
-    buffers admitted items; one drain task batches them (up to
-    ``batch`` per flush) and applies each batch on a dedicated
-    single-thread flush pool, so
-
-    * ordering is total — one flush thread, admission order preserved,
-      consecutive same-kind runs applied with one ``raise_events`` /
-      ``notify_batch`` call each;
-    * the loop stays responsive while a flush runs — rule coroutines
-      triggered *by* the flush execute on the same loop concurrently;
-    * a full queue suspends ``await ingest(...)`` (backpressure)
-      without blocking any thread.
-    """
-
-    def __init__(self, sentinel: "Sentinel", capacity: int, batch: int):
-        if capacity < 1:
-            raise ValueError(f"ingest_capacity must be >= 1, got {capacity}")
-        if batch < 1:
-            raise ValueError(f"ingest_batch must be >= 1, got {batch}")
-        self._sentinel = sentinel
-        self.batch = batch
-        self.lane = sentinel.detector.scheduler.async_lane
-        self.loop = self.lane.loop
-        self._flush_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="sentinel-ingest"
-        )
-        self.accepted = 0
-        self.flushed = 0
-        self.flushes = 0
-        self.errors: deque = deque(maxlen=64)
-        self._counter_lock = threading.Lock()
-        self.closed = False
-        # Queue and drain task belong to the lane's loop; creating them
-        # there keeps every queue operation single-loop.
-        asyncio.run_coroutine_threadsafe(
-            self._start(capacity), self.loop
-        ).result(timeout=10.0)
-
-    async def _start(self, capacity: int) -> None:
-        self.queue: asyncio.Queue = asyncio.Queue(capacity)
-        self.drain_task = asyncio.get_running_loop().create_task(
-            self._drain(), name="sentinel-ingest-drain"
-        )
-
-    # -- producer side -----------------------------------------------------
-
-    async def put(self, entry: tuple) -> None:
-        if self.closed:
-            raise RuntimeError("ingest is closed")
-        if asyncio.get_running_loop() is self.loop:
-            await self.queue.put(entry)
-        else:
-            # Bridge from the caller's loop: the threadsafe put parks
-            # on the bounded queue for us, and wrap_future suspends the
-            # caller (not its loop) until there is room.
-            await asyncio.wrap_future(
-                asyncio.run_coroutine_threadsafe(
-                    self.queue.put(entry), self.loop
-                )
-            )
-        with self._counter_lock:
-            self.accepted += 1
-
-    # -- drain side --------------------------------------------------------
-
-    async def _drain(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self.queue.get()]
-            while len(batch) < self.batch:
-                try:
-                    batch.append(self.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            closing = any(entry is _CLOSE for entry in batch)
-            if closing:
-                # Take stragglers that raced in behind the sentinel so
-                # close() flushes everything that was accepted.
-                while True:
-                    try:
-                        batch.append(self.queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-            entries = [e for e in batch if e is not _CLOSE]
-            if entries:
-                try:
-                    await loop.run_in_executor(
-                        self._flush_pool, self._flush, entries
-                    )
-                except Exception as exc:  # noqa: BLE001 — drain survives
-                    with self._counter_lock:
-                        self.errors.append(f"{type(exc).__name__}: {exc}")
-                else:
-                    with self._counter_lock:
-                        self.flushed += len(entries)
-                        self.flushes += 1
-            for _ in batch:
-                self.queue.task_done()
-            if closing:
-                return
-
-    def _flush(self, entries: list[tuple]) -> None:
-        """Apply one drained batch, preserving admission order.
-
-        Consecutive same-kind entries collapse into one detector batch
-        call; a kind switch is a boundary (events must not be reordered
-        across it).
-        """
-        detector = self._sentinel.detector
-        index = 0
-        while index < len(entries):
-            kind = entries[index][0]
-            stop = index
-            while stop < len(entries) and entries[stop][0] == kind:
-                stop += 1
-            chunk = [entry[1] for entry in entries[index:stop]]
-            if kind == "raise":
-                detector.raise_events(chunk)
-            else:
-                detector.notify_batch(chunk)
-            index = stop
-
-    # -- barriers and lifecycle -------------------------------------------
-
-    def flush(self, timeout: Optional[float] = 30.0) -> None:
-        if threading.current_thread() is self.lane._thread:
-            raise RuntimeError(
-                "ingest_flush() must not be called from the ingestion "
-                "loop thread (an async rule action should await instead)"
-            )
-        asyncio.run_coroutine_threadsafe(
-            self.queue.join(), self.loop
-        ).result(timeout)
-
-    def close(self, timeout: Optional[float] = 30.0) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        asyncio.run_coroutine_threadsafe(
-            self.queue.put(_CLOSE), self.loop
-        ).result(timeout)
-        asyncio.run_coroutine_threadsafe(
-            self._join_drain(), self.loop
-        ).result(timeout)
-        self._flush_pool.shutdown(wait=True)
-
-    async def _join_drain(self) -> None:
-        await self.drain_task
-
-    def snapshot(self) -> dict:
-        with self._counter_lock:
-            accepted = self.accepted
-            flushed = self.flushed
-            flushes = self.flushes
-            errors = len(self.errors)
-        return {
-            "accepted": accepted,
-            "flushed": flushed,
-            "flushes": flushes,
-            "depth": self.queue.qsize(),
-            "errors": errors,
-            "capacity": self.queue.maxsize,
-            "batch": self.batch,
-        }

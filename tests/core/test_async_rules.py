@@ -106,26 +106,37 @@ def build_system(lane: str):
     return det, hits
 
 
-def drive(det) -> None:
-    for i, name in enumerate("abaabbab" * 4):
-        det.raise_event(name, n=i)
+EVENTS = [(name, {"n": i}) for i, name in enumerate("abaabbab" * 4)]
+
+
+def raise_one_by_one(det) -> None:
+    for name, params in EVENTS:
+        det.raise_event(name, **params)
+
+
+def raise_as_one_batch(det) -> None:
+    det.raise_events(EVENTS)
 
 
 def test_async_lane_matches_the_sync_oracle():
     """Same events, same graph: the async lane triggers exactly what
-    the sync lane does, in the same order, in every parameter context."""
-    oracle, oracle_hits = build_system("sync")
-    candidate, candidate_hits = build_system("async")
-    drive(oracle)
-    drive(candidate)
-    assert oracle_hits, "oracle produced no triggers — broken fixture"
-    assert candidate_hits == oracle_hits
-    assert (
-        candidate.scheduler.stats.executions
-        == oracle.scheduler.stats.executions
-    )
-    oracle.shutdown()
-    candidate.shutdown()
+    the sync lane does, in the same order, in every parameter context —
+    whether the events arrive one by one or as one ``raise_events``
+    batch (whose rules, async ones included, run after its last
+    event)."""
+    for drive in (raise_one_by_one, raise_as_one_batch):
+        oracle, oracle_hits = build_system("sync")
+        candidate, candidate_hits = build_system("async")
+        drive(oracle)
+        drive(candidate)
+        assert oracle_hits, "oracle produced no triggers — broken fixture"
+        assert candidate_hits == oracle_hits
+        assert (
+            candidate.scheduler.stats.executions
+            == oracle.scheduler.stats.executions
+        )
+        oracle.shutdown()
+        candidate.shutdown()
 
 
 # =========================================================================

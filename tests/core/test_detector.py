@@ -1,13 +1,16 @@
 """Tests for the local event detector: primitives, routing, flush."""
 
+import threading
 from dataclasses import dataclass
 
 import pytest
 
 from repro import Reactive, Sentinel, event
+from repro.clock import LogicalClock
 from repro.core.detector import LocalEventDetector
 from repro.core.reactive import get_current_detector, set_current_detector
 from repro.errors import DuplicateEvent, EventError, UnknownEvent
+from repro.telemetry import NotificationSuppressed, TraceLogProcessor
 from tests.core.conftest import collect
 
 
@@ -163,6 +166,85 @@ class TestSuppression:
         assert inner_fired == []  # but its condition triggered nothing
         assert det.stats.suppressed == 1
 
+    @pytest.mark.parametrize(
+        "door", ["notify", "notify_batch", "raise_event", "raise_events"]
+    )
+    def test_every_door_is_suppressed_inside_a_condition(self, det, door):
+        """One suppression rule: method and explicit events signaled
+        from a condition are counted and traced, never detected."""
+        det.explicit_event("outer")
+        det.explicit_event("F")
+        det.primitive_event("M", "S", "end", "m")
+        fired = collect(det, "F" if door.startswith("raise") else "M")
+        signal = {
+            "notify": lambda: det.notify(None, "S", "m", "end"),
+            "notify_batch": lambda: det.notify_batch([(None, "S", "m", "end")]),
+            "raise_event": lambda: det.raise_event("F"),
+            "raise_events": lambda: det.raise_events(["F"]),
+        }[door]
+        returned = []
+
+        def condition(occ):
+            returned.append(signal())
+            return True
+
+        det.rule("sneaky", "outer", condition=condition, action=lambda o: None)
+        trace = det.telemetry.attach(TraceLogProcessor())
+        det.raise_event("outer")
+        assert fired == []
+        assert returned in ([[]], [None])
+        assert det.stats.suppressed == 1
+        assert [
+            e for e in trace.events() if isinstance(e, NotificationSuppressed)
+        ]
+
+
+class _ParkingClock(LogicalClock):
+    """A logical clock whose next tick, once armed, waits (bounded) for
+    ``release`` after taking its value."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = False
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def tick(self) -> float:
+        at = super().tick()
+        if self.armed:
+            self.armed = False
+            self.parked.set()
+            self.release.wait(timeout=10.0)
+        return at
+
+
+class TestTimestampOrder:
+    def test_raise_is_stamped_under_the_detector_lock(self):
+        """A raise stamped b@2 cannot be overtaken by a@3: propagation
+        follows timestamp order, so ``a >> b`` sees a@1 then b@2."""
+        clock = _ParkingClock()
+        det = LocalEventDetector(clock=clock)
+        a, b = det.explicit_event("a"), det.explicit_event("b")
+        fired = collect(det, a >> b)
+        det.raise_event("a")
+        clock.armed = True
+        stamp_b = threading.Thread(target=det.raise_event, args=("b",))
+        stamp_b.start()
+        try:
+            assert clock.parked.wait(timeout=10.0)
+            raise_a = threading.Thread(target=det.raise_event, args=("a",))
+            raise_a.start()
+            # Given the chance, a@3 must not propagate before b@2 does.
+            raise_a.join(timeout=1.0)
+        finally:
+            clock.release.set()
+            stamp_b.join(timeout=10.0)
+        raise_a.join(timeout=10.0)
+        assert not stamp_b.is_alive() and not raise_a.is_alive()
+        assert len(fired) == 1
+        assert [p.at for p in fired[0].params] == [1.0, 2.0]
+        det.shutdown()
+
 
 class TestCascades:
     def test_composite_triggered_action_nests_depth_first(self, det):
@@ -267,6 +349,29 @@ class TestOneLock:
             LocalEventDetector(shards=2)
         with pytest.raises(TypeError):
             Sentinel(shards=2)
+
+
+class TestOneIngestPath:
+    def test_streaming_front_door_is_gone(self):
+        """Batched callers use notify_batch / raise_events; there is no
+        awaitable queue in front of them."""
+        with pytest.raises(TypeError):
+            Sentinel(ingest_capacity=16)
+        with pytest.raises(TypeError):
+            Sentinel(ingest_batch=8)
+        for name in ("ingest", "ingest_flush", "ingest_stats"):
+            assert not hasattr(Sentinel, name)
+
+    def test_bad_modifier_means_no_partial_batch(self, det):
+        """Modifiers are resolved before anything is signaled, as
+        explicit names are: a bad item leaves no occurrence behind."""
+        det.primitive_event("M", "S", "end", "m")
+        seen = []
+        det.occurrence_listeners.append(seen.append)
+        with pytest.raises(ValueError):
+            det.notify_batch([(None, "S", "m", "end"),
+                              (None, "S", "m", "sideways")])
+        assert seen == []
 
 
 class TestContextCounters:

@@ -1,17 +1,14 @@
-"""Sentinel.ingest(): the awaitable streaming front door.
+"""Batch ingestion reaching the async rule lane.
 
-Contract under test: admission is awaitable from any event loop,
-bounded (a full queue suspends the producer — backpressure, not
-unbounded memory), ordered (items apply in admission order), and
-flushed in batches through ``raise_events``/``notify_batch``.
-``ingest_flush`` is a barrier; ``close()`` drains what was accepted
-and makes later ingests fail fast.
+A batch of explicit events goes in through ``Sentinel.raise_events``;
+the rules it triggers run after its last event. A triggered async-lane
+rule must run its coroutine to completion before the call returns —
+also when the producer is itself a coroutine on a running event loop,
+where a lane that tried to borrow the caller's loop would deadlock.
 """
 
 import asyncio
 import threading
-
-import pytest
 
 from repro.sentinel import Sentinel
 
@@ -22,202 +19,32 @@ def make_system(**kwargs) -> Sentinel:
     return s
 
 
-def test_items_apply_in_admission_order():
-    s = make_system(ingest_batch=16)
-    hits: list[int] = []
-    gate = threading.Event()
-
-    def act(occ):
-        if not hits:
-            # wedge the first flush so the rest of the stream piles up
-            # in the queue — batching becomes deterministic, not a race
-            # between producer and drain
-            gate.wait(timeout=30.0)
-        hits.append(occ["n"])
-
-    s.rule("count", "tick", action=act)
-
-    async def produce():
-        for n in range(300):
-            await s.ingest(("tick", {"n": n}))
-
-    asyncio.run(produce())
-    gate.set()
-    s.ingest_flush()
-    assert hits == list(range(300))
-    stats = s.ingest_stats()
-    assert stats["accepted"] == 300
-    assert stats["flushed"] == 300
-    assert stats["depth"] == 0
-    # batching really happened: the backlog drained in ~300/16 flushes
-    assert stats["flushes"] <= 300 // 4
-    s.close()
-
-
-def test_mixed_kinds_keep_their_relative_order():
-    """Explicit events and notify items interleave; a kind switch is a
-    flush boundary, so the recorded order matches admission exactly."""
-    s = make_system()
-    s.detector.primitive_event("press", "Button", "begin", "push")
-    order: list[str] = []
-    s.rule("t", "tick", action=lambda occ: order.append("tick"))
-    s.rule("p", "press", action=lambda occ: order.append("press"))
-
-    async def produce():
-        for i in range(30):
-            if i % 3 == 0:
-                await s.ingest((None, "Button", "push", "begin"))
-            else:
-                await s.ingest("tick")
-
-    asyncio.run(produce())
-    s.ingest_flush()
-    expected = ["press" if i % 3 == 0 else "tick" for i in range(30)]
-    assert order == expected
-    s.close()
-
-
-def test_full_queue_suspends_the_producer():
-    """Backpressure: with the detector wedged mid-flush, a producer
-    streaming more than capacity+batch items parks on await instead of
-    completing (and finishes once the flush is released)."""
-    wedge = threading.Event()
-    s = make_system(ingest_capacity=4, ingest_batch=2)
-    s.rule("slow", "tick",
-           action=lambda occ: wedge.wait(timeout=30.0))
-    produced = []
-    done = threading.Event()
-
-    def producer_thread():
-        async def produce():
-            for n in range(20):
-                await s.ingest(("tick", {"n": n}))
-                produced.append(n)
-        asyncio.run(produce())
-        done.set()
-
-    thread = threading.Thread(target=producer_thread, daemon=True)
-    thread.start()
-    # The producer must stall: capacity (4) + one in-flight batch (2)
-    # is all the system will take while the flush is wedged.
-    deadline = threading.Event()
-    deadline.wait(0.3)
-    assert not done.is_set(), "producer finished against a wedged flush"
-    assert len(produced) <= 4 + 2
-    wedge.set()
-    assert done.wait(timeout=10.0), "producer never resumed after release"
-    s.ingest_flush()
-    assert s.ingest_stats()["flushed"] == 20
-    s.close()
-
-
-def test_concurrent_producers_from_separate_loops():
-    """Two threads, two event loops, one front door: every item is
-    accepted and flushed exactly once."""
-    s = make_system(ingest_capacity=8, ingest_batch=4)
-    hits: list[int] = []
-    lock = threading.Lock()
-
-    def record(occ):
-        with lock:
-            hits.append(occ["n"])
-
-    s.rule("count", "tick", action=record)
-
-    def producer(base: int):
-        async def produce():
-            for n in range(base, base + 100):
-                await s.ingest(("tick", {"n": n}))
-        asyncio.run(produce())
-
-    threads = [
-        threading.Thread(target=producer, args=(base,), daemon=True)
-        for base in (0, 1000)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30.0)
-        assert not t.is_alive()
-    s.ingest_flush()
-    assert sorted(hits) == list(range(100)) + list(range(1000, 1100))
-    # each producer's own order is preserved even when interleaved
-    assert [n for n in hits if n < 1000] == list(range(100))
-    assert [n for n in hits if n >= 1000] == list(range(1000, 1100))
-    s.close()
-
-
 def test_ingest_can_trigger_async_rules():
-    """The drain must not deadlock the lane: a flush triggering an
-    async-lane rule runs that coroutine on the same loop the queue
-    lives on."""
     s = make_system()
+    runs: list[int] = []
     ran = threading.Event()
 
     async def act(occ):
         await asyncio.sleep(0.001)
+        runs.append(occ["n"])
         ran.set()
 
     s.rule("a", "tick", action=act)
-    asyncio.run(s.ingest("tick"))
-    s.ingest_flush()
+
+    s.raise_events([("tick", {"n": 0})])
     assert ran.is_set()
-    s.close()
-
-
-def test_close_drains_accepted_items_then_fails_fast():
-    s = make_system(ingest_batch=8)
-    hits: list[int] = []
-    s.rule("count", "tick", action=lambda occ: hits.append(occ["n"]))
 
     async def produce():
-        for n in range(50):
-            await s.ingest(("tick", {"n": n}))
+        s.raise_events([("tick", {"n": 1}), ("tick", {"n": 2})])
 
-    asyncio.run(produce())
-    s.close()  # no explicit flush: close() must drain the backlog
-    assert hits == list(range(50))
-    with pytest.raises(RuntimeError, match="closed"):
-        asyncio.run(s.ingest("tick"))
-
-
-def test_malformed_items_fail_in_the_callers_frame():
-    s = make_system()
-    with pytest.raises(TypeError, match="ingest\\(\\) items"):
-        asyncio.run(s.ingest(42))
-    with pytest.raises(TypeError, match="ingest\\(\\) items"):
-        asyncio.run(s.ingest(("tick", 1, 2)))  # 3-tuple: neither kind
-    # nothing was admitted by the failures
-    assert s.ingest_stats()["accepted"] == 0
-    s.close()
-
-
-def test_flush_errors_are_recorded_not_raised():
-    """A bad event name admitted to the stream surfaces in
-    ingest_stats()["errors"], and the drain keeps serving."""
-    s = make_system()
-    hits: list[int] = []
-    s.rule("count", "tick", action=lambda occ: hits.append(occ["n"]))
-
-    async def produce():
-        await s.ingest("no_such_event")
-        # give the bad batch its own flush so the good item that
-        # follows is not collateral damage of the same detector call
-        s.ingest_flush()
-        await s.ingest(("tick", {"n": 1}))
-
-    asyncio.run(produce())
-    s.ingest_flush()
-    assert hits == [1]
-    stats = s.ingest_stats()
-    assert stats["errors"] == 1
-    s.close()
-
-
-def test_stats_are_all_zero_before_first_use():
-    s = Sentinel(name="cold", ingest_capacity=7, ingest_batch=3)
-    assert s.ingest_stats() == {
-        "accepted": 0, "flushed": 0, "flushes": 0, "depth": 0,
-        "errors": 0, "capacity": 7, "batch": 3,
-    }
+    # a daemon producer thread bounds the wait: a deadlocked lane fails
+    # the test instead of hanging the suite
+    ran.clear()
+    producer = threading.Thread(target=asyncio.run, args=(produce(),),
+                                daemon=True)
+    producer.start()
+    producer.join(timeout=30.0)
+    assert not producer.is_alive(), "async lane deadlocked on the producer's loop"
+    assert ran.is_set()
+    assert runs == [0, 1, 2]
     s.close()
