@@ -8,111 +8,30 @@ run as tasks, so an entire priority class of IO-bound actions overlaps
 in one thread while the existing ``SerialExecutor``/``ThreadedExecutor``
 lanes keep serving sync rules.
 
-Two pieces make the lane safe without touching the synchronous hot path:
+Every task runs in a copy of its submitter's :mod:`contextvars`
+context (``run_coroutine_threadsafe`` and ``gather`` copy it), so a
+rule coroutine starts with the triggering thread's transaction,
+nesting depth, current rule, trace position and current detector, and
+whatever it sets stays private to its task.
 
-* **Per-task state isolation** (:func:`isolate`). The scheduler keeps
-  its execution state — current transaction, rule-nesting depth,
-  current rule, telemetry span stack — in *thread* locals, which every
-  task on the one loop thread would otherwise share. ``isolate`` drives
-  the rule coroutine step by step and swaps each task's private copies
-  of those attributes in before every ``send``/``throw`` and back out
-  after, so tasks interleaving at ``await`` points never observe each
-  other's state. The swap costs only the async lane anything; sync
-  rules keep reading plain thread locals.
-
-* **Nested-lane routing** (:meth:`AsyncExecutor.route`). An async
-  action that synchronously raises events re-enters the scheduler *on
-  the loop thread*; blocking there on a future of its own loop would
-  deadlock. ``route()`` answers the lane the calling thread may safely
-  block on: the executor itself from foreign threads, a lazily created
-  nested lane from its own loop thread. Nested cascades therefore run
-  depth-first (the triggering ``notify`` returns only after the nested
-  rules finish), exactly like the sync lanes.
+What the lane itself must solve is a thread problem, nested-lane
+routing (:meth:`AsyncExecutor.route`). An async action that
+synchronously raises events re-enters the scheduler *on the loop
+thread*; blocking there on a future of its own loop would deadlock.
+``route()`` answers the lane the calling thread may safely block on:
+the executor itself from foreign threads, a lazily created nested lane
+from its own loop thread. Nested cascades therefore run depth-first
+(the triggering ``notify`` returns only after the nested rules finish),
+exactly like the sync lanes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-import types
-from typing import Any, Coroutine, Iterable, Optional
+from typing import Coroutine, Optional
 
-__all__ = ["AsyncExecutor", "isolate"]
-
-_MISSING = object()
-
-
-class _Swap:
-    """One thread-local attribute a task owns a private copy of."""
-
-    __slots__ = ("target", "attr", "value")
-
-    def __init__(self, target: Any, attr: str, value: Any):
-        self.target = target
-        self.attr = attr
-        self.value = value
-
-
-@types.coroutine
-def _drive(coro: Coroutine, swaps: list[_Swap]):
-    """Step ``coro``, swapping per-task state around every resumption.
-
-    Before each ``send``/``throw`` the task's parked values are
-    installed on the thread locals; after the step the (possibly
-    mutated) values are parked again and the loop thread's base values
-    restored — so whatever runs between tasks (the event loop itself,
-    other tasks) sees pristine state.
-    """
-    send_value: Any = None
-    thrown: Optional[BaseException] = None
-    while True:
-        saved = [getattr(s.target, s.attr, _MISSING) for s in swaps]
-        for s in swaps:
-            setattr(s.target, s.attr, s.value)
-        try:
-            if thrown is not None:
-                step = coro.throw(thrown)
-            else:
-                step = coro.send(send_value)
-            result = _MISSING
-        except StopIteration as stop:
-            result = stop.value
-        finally:
-            for s, previous in zip(swaps, saved):
-                s.value = getattr(s.target, s.attr, None)
-                if previous is _MISSING:
-                    try:
-                        delattr(s.target, s.attr)
-                    except AttributeError:
-                        pass
-                else:
-                    setattr(s.target, s.attr, previous)
-        if result is not _MISSING:
-            return result
-        try:
-            send_value = yield step
-            thrown = None
-        except BaseException as exc:  # noqa: BLE001 — must reach the coro
-            thrown = exc
-            send_value = None
-
-
-def isolate(coro: Coroutine,
-            specs: Iterable[tuple[Any, str, Any]]) -> Coroutine:
-    """Wrap ``coro`` so it runs with private copies of thread locals.
-
-    ``specs`` is an iterable of ``(target, attribute, initial_value)``
-    triples — e.g. ``(scheduler._local, "depth", 3)`` seeds the task
-    with the triggering thread's nesting depth. Mutations the coroutine
-    makes to a swapped attribute persist across its awaits (they are
-    parked with the task), but are invisible to every other task.
-    """
-    swaps = [_Swap(target, attr, value) for target, attr, value in specs]
-
-    async def runner():
-        return await _drive(coro, swaps)
-
-    return runner()
+__all__ = ["AsyncExecutor"]
 
 
 class AsyncExecutor:

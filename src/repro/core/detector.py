@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -82,6 +83,11 @@ class DetectorStats:
     triggers: int = 0
     detached_dispatches: int = 0
     batches: int = 0
+
+
+#: the execution state outside any rule: no transaction, depth 0, no
+#: rule. Shared by every detector, so it references none of them.
+NO_EXECUTION: tuple = (None, 0, None)
 
 
 def _reject_builder(method: str, replacement: str) -> None:
@@ -139,6 +145,17 @@ class LocalEventDetector:
         #: named priority classes (paper §3.1); rules may use ints or names
         self.priorities = PriorityScheme()
         self.txn_manager = txn_manager
+        #: where this context is in rule execution: ``(current
+        #: transaction, rule nesting depth, current rule)``. A context
+        #: variable, so rule pool workers and asyncio tasks inherit it;
+        #: the rule bracket swaps the tuple whole.
+        self._execution: ContextVar[tuple] = ContextVar(
+            f"{name}.execution", default=NO_EXECUTION
+        )
+        #: raised while a condition runs: signals are dropped
+        self._suppressed: ContextVar[bool] = ContextVar(
+            f"{name}.suppressed", default=False
+        )
         self.scheduler = RuleScheduler(
             self,
             executor=executor,
@@ -146,6 +163,9 @@ class LocalEventDetector:
             error_policy=error_policy,
         )
         self.stats = DetectorStats()
+        #: activation frames stay per thread: a frame never outlives one
+        #: synchronous propagate under ``lock``, so no other thread or
+        #: task can need it
         self._local = threading.local()
         #: names of events forwarded to the global event detector
         self._global_events: set[str] = set()
@@ -410,7 +430,7 @@ class LocalEventDetector:
                 return True
         stats = self.stats
         stats.notifications += 1
-        if self._is_suppressed():
+        if self._suppressed.get():
             stats.suppressed += 1
         return False
 
@@ -440,7 +460,7 @@ class LocalEventDetector:
             entries = (resolve(items),)
         occurrences: list[PrimitiveOccurrence] = []
         telemetry = self.telemetry
-        if self._is_suppressed():
+        if self._suppressed.get():
             stats.suppressed += size
             if telemetry.active:
                 if batch:
@@ -717,38 +737,37 @@ class LocalEventDetector:
 
     # -- suppression (conditions are side-effect free) ---------------------------
 
-    def _is_suppressed(self) -> bool:
-        return self._local.__dict__.get("suppressed", False)
-
     @contextmanager
     def signals_suppressed(self):
-        """Ignore event signaling on this thread (condition evaluation)."""
-        previous = self._is_suppressed()
-        self._local.suppressed = True
+        """Ignore event signaling in this context (condition evaluation)."""
+        token = self._suppressed.set(True)
         try:
             yield
         finally:
-            self._local.suppressed = previous
+            self._suppressed.reset(token)
 
     # -- transaction context ---------------------------------------------------------
 
     def current_transaction(self) -> Optional[NestedTransaction]:
-        """The transaction this thread runs under; inside a rule, the
+        """The transaction this context runs under; inside a rule, the
         rule's subtransaction, begun by this call if it was pending."""
-        txn = getattr(self._local, "txn", None)
+        execution = self._execution.get()
+        txn = execution[0]
         if txn.__class__ is PendingSubtransaction:
-            txn = self._local.txn = txn.begin()
+            txn = txn.begin()
+            # The rule bracket's reset undoes this set too.
+            self._execution.set((txn,) + execution[1:])
         return txn
 
     def _top_level_id(self) -> Optional[int]:
         """The id stamped on an occurrence; begins no subtransaction."""
-        txn = getattr(self._local, "txn", None)
+        txn = self._execution.get()[0]
         return txn.top_level_id if txn is not None else None
 
     def set_current_transaction(
         self, txn: Optional[NestedTransaction]
     ) -> None:
-        self._local.txn = txn
+        self._execution.set((txn,) + self._execution.get()[1:])
 
     # -- global events -----------------------------------------------------------------
 

@@ -16,7 +16,9 @@ armed.
 Which detector receives the notifications? One local event detector
 exists per application; reactive objects signal the *current* detector,
 set with :func:`set_current_detector` (the Sentinel facade does this).
-Without a current detector, wrapped methods behave passively.
+It is a context variable, so a rule action on a pool worker or the
+asyncio lane notifies the detector its trigger came from. Without a
+current detector, wrapped methods behave passively.
 """
 
 from __future__ import annotations
@@ -24,24 +26,26 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
-import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.detector import LocalEventDetector
 from repro.core.params import EventModifier
 
-_current = threading.local()
+_current: ContextVar[Optional[LocalEventDetector]] = ContextVar(
+    "current_detector", default=None
+)
 _reactive_ids = itertools.count(1)
 
 
 def set_current_detector(detector: Optional[LocalEventDetector]) -> None:
     """Route subsequent reactive-method notifications to ``detector``."""
-    _current.detector = detector
+    _current.set(detector)
 
 
 def get_current_detector() -> Optional[LocalEventDetector]:
-    return getattr(_current, "detector", None)
+    return _current.get()
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import inspect
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
 from itertools import groupby
 from time import perf_counter
@@ -128,19 +129,35 @@ class SerialExecutor:
 
 class ThreadedExecutor:
     """Concurrent executor: one priority class at a time, its rules on a
-    pool of reusable threads (the paper's "pool of free threads")."""
+    pool of reusable threads (the paper's "pool of free threads").
+
+    Each activation runs in a copy of the submitting context, so its
+    transaction, nesting depth, trace and current detector follow it
+    onto the worker. A class that begins on one of the pool's own
+    workers runs there, in trigger order (caller-runs): a worker never
+    waits on the pool it occupies, so a nested cascade cannot starve it.
+    """
 
     def __init__(self, max_workers: int = 8):
+        #: idents of the pool's threads, recorded as each starts: being
+        #: a worker is a fact about the thread, not about the context
+        self._workers: set[int] = set()
+        workers = self._workers
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="sentinel-rule"
+            max_workers=max_workers, thread_name_prefix="sentinel-rule",
+            initializer=lambda: workers.add(threading.get_ident()),
         )
 
     def execute(self, activations: list[RuleActivation],
                 run_one: Callable[[RuleActivation], None]) -> None:
-        if len(activations) == 1:
-            run_one(activations[0])
+        if len(activations) == 1 or threading.get_ident() in self._workers:
+            for activation in activations:
+                run_one(activation)
             return
-        futures = [self._pool.submit(run_one, a) for a in activations]
+        futures = [
+            self._pool.submit(copy_context().run, run_one, a)
+            for a in activations
+        ]
         wait(futures)
         for future in futures:
             exc = future.exception()
@@ -179,7 +196,8 @@ class RuleScheduler:
         self.txn_manager = txn_manager
         self.error_policy = error_policy
         self.stats = SchedulerStats()
-        self._local = threading.local()
+        #: the detector's (transaction, depth, rule) context variable
+        self._execution = detector._execution
         #: asyncio lane for executor="async" rules, created on first use
         #: (a detector with no async rules never starts the loop thread)
         self._async_lane = None
@@ -190,14 +208,14 @@ class RuleScheduler:
         #: of "start", "condition", "done", "failed" — debugger hook.
         self.listeners: list[Callable[[str, Rule, Occurrence, dict], None]] = []
 
-    # -- depth tracking (per thread) -------------------------------------------
+    # -- depth tracking (per context) ------------------------------------------
 
     def _depth(self) -> int:
-        return getattr(self._local, "depth", 0)
+        return self._execution.get()[1]
 
     def current_rule(self) -> Optional[Rule]:
-        """The rule executing on this thread, if any (debugger use)."""
-        return getattr(self._local, "rule", None)
+        """The rule executing in this context, if any (debugger use)."""
+        return self._execution.get()[2]
 
     def _notify(self, phase: str, rule: Rule, occurrence: Occurrence,
                 **info) -> None:
@@ -244,16 +262,25 @@ class RuleScheduler:
         while sync ones ride the configured executor on this thread;
         the class is a barrier — both legs finish before the caller
         sees the next class (the paper's serial-across-classes,
-        concurrent-within-a-class discipline).
+        concurrent-within-a-class discipline). A class begun on one of
+        the lane's loop threads runs serially on the nested lane.
         """
         async_batch = [a for a in group if a.rule.executor == "async"]
         if not async_batch:
             self.executor.execute(group, self.run_one)
             return
-        sync_batch = [a for a in group if a.rule.executor != "async"]
         lane = self.async_lane.route()
+        if lane is not self._async_lane:
+            # Begun inside an async action, whose loop thread waits for
+            # this class: like a class begun on a pool worker, it runs
+            # in trigger order and stops at the first error, so a
+            # runaway cascade fails once per level, not once per path.
+            for activation in group:
+                self.run_one(activation)
+            return
+        sync_batch = [a for a in group if a.rule.executor != "async"]
         future = lane.submit_gather(
-            [self._isolated(a) for a in async_batch]
+            [self._cond_action(a, awaits=True) for a in async_batch]
         )
         first_error: Optional[BaseException] = None
         try:
@@ -289,28 +316,6 @@ class RuleScheduler:
                     self._async_lane = lane
         return lane
 
-    def _isolated(self, activation: RuleActivation):
-        """The lane-ready coroutine for one async activation.
-
-        The rule coroutine is wrapped by :func:`isolate` so each task
-        owns private copies of the per-thread execution state the
-        sync path keeps in thread locals — current transaction, nesting
-        depth, current rule, telemetry span stack/trace. Depth and rule
-        are seeded from the *calling* thread so nested cascades keep
-        counting toward MAX_DEPTH across lane hops.
-        """
-        from repro.core.async_executor import isolate
-
-        return isolate(
-            self._cond_action(activation, awaits=True),
-            [
-                (self._detector._local, "txn", None),
-                (self._local, "depth", self._depth()),
-                (self._local, "rule", self.current_rule()),
-                self._detector.telemetry.task_context(),
-            ],
-        )
-
     def run_one(self, activation: RuleActivation) -> None:
         """Fig. 3's ``cond_action``: condition+action in a subtransaction."""
         if activation.rule.executor == "async":
@@ -318,9 +323,10 @@ class RuleScheduler:
             # blocking this thread until the coroutine completes so the
             # cascade stays depth-first (notify returns only after the
             # rule finished). route() keeps the lane's own loop thread
-            # from blocking on itself.
+            # from blocking on itself. The task runs in a copy of this
+            # context, so depth and transaction carry across the hop.
             lane = self.async_lane.route()
-            return lane.run(self._isolated(activation))
+            return lane.run(self._cond_action(activation, awaits=True))
         # A sync action never suspends the bracket, so one send() runs
         # it to the end; its errors propagate out of send().
         try:
@@ -347,8 +353,8 @@ class RuleScheduler:
         occurrence = activation.occurrence
         detector = self._detector
         telemetry = detector.telemetry
-        local = self._local
-        depth = getattr(local, "depth", 0) + 1
+        execution = self._execution
+        depth = execution.get()[1] + 1
         span = None
         if telemetry.active:
             span = telemetry.span(
@@ -382,13 +388,9 @@ class RuleScheduler:
                 txn = pending = PendingSubtransaction(
                     self.txn_manager, txn, rule.name
                 )
-            # Saved and restored raw: a pending record stays pending.
-            detector_local = detector._local
-            previous_txn = getattr(detector_local, "txn", None)
-            previous_rule = getattr(local, "rule", None)
-            detector_local.txn = txn
-            local.depth = depth
-            local.rule = rule
+            # One set for the whole bracket; its reset also undoes a
+            # current_transaction() that began the pending record.
+            token = execution.set((txn, depth, rule))
             listeners = self.listeners
             if listeners:
                 self._notify("start", rule, occurrence, depth=depth)
@@ -400,9 +402,7 @@ class RuleScheduler:
                 # Conditions are side-effect free: suppress event
                 # signaling so a condition calling an event-generating
                 # method does not trigger rules (paper §3.2.1's global
-                # acknowledge flag). The condition never awaits, so the
-                # flag — a plain thread local, not swapped per task —
-                # cannot leak across tasks on the asyncio lane.
+                # acknowledge flag).
                 # The rule span's condition_ms is what metrics read; a
                 # ConditionEvaluated span is opened only for a
                 # processor that asked for one.
@@ -414,10 +414,8 @@ class RuleScheduler:
                         )
                     condition_started = perf_counter()
                 satisfied = False
-                previous_suppressed = getattr(
-                    detector_local, "suppressed", False
-                )
-                detector_local.suppressed = True
+                suppressed = detector._suppressed
+                held = suppressed.set(True)
                 try:
                     satisfied = bool(rule.condition(occurrence))
                 except Exception as exc:
@@ -425,7 +423,7 @@ class RuleScheduler:
                         rule.name, "condition", exc
                     ) from exc
                 finally:
-                    detector_local.suppressed = previous_suppressed
+                    suppressed.reset(held)
                     if span is not None:
                         condition_ms = (
                             perf_counter() - condition_started
@@ -478,9 +476,7 @@ class RuleScheduler:
                 if self.error_policy == "raise":
                     raise error from exc
             finally:
-                local.depth = depth - 1
-                local.rule = previous_rule
-                detector_local.txn = previous_txn
+                execution.reset(token)
         finally:
             if span is not None:
                 span.close(outcome=outcome, condition_ms=condition_ms,

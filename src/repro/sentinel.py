@@ -317,14 +317,13 @@ class Sentinel(SentinelAPI):
             with orders_app.active():
                 book.place_order("SKU-7", 5)   # notifies orders_app
         """
-        from repro.core.reactive import get_current_detector
+        from repro.core.reactive import _current
 
-        previous = get_current_detector()
-        set_current_detector(self.detector)
+        token = _current.set(self.detector)
         try:
             yield self
         finally:
-            set_current_detector(previous)
+            _current.reset(token)
 
     def register_class(self, cls: type,
                        prefix: Optional[str] = None) -> dict:

@@ -34,17 +34,20 @@ Delivery is synchronous and best-effort: a reducer or ``handle`` that
 raises never breaks event detection or rule execution; the exception
 is counted in ``hub.dropped`` and remembered in ``hub.last_error``.
 
-Span parentage is tracked with a per-thread :class:`SpanContext`: a
-stack of open span ids and the current *trace id* — an opaque hex
-string naming one end-to-end event lifecycle. Opening a span pushes its
-id; closing pops it and emits. Parent links are only ever read by
+Span parentage is tracked with a *position* per hub, held in a context
+variable: the current *trace id* — an opaque hex string naming one
+end-to-end event lifecycle — and the ids of the open spans. A position
+is an immutable tuple, so a rule pool worker or an asyncio task, which
+run in copies of their submitter's context, see where the submitter
+was but cannot move it. Opening a span sets a new position; closing it
+resets the old one and emits. Parent links are only ever read by
 recording processors, so a span whose route holds no recorder when it
 opens skips the push, the pop and its own parent lookup. A root span
-(no trace current on its thread) mints a fresh trace id and owns it
+(no trace current in its context) mints a fresh trace id and owns it
 for its duration, recorded or not; nested spans and points inherit
-it. Work handed to another thread (detached rules, threaded
-executors) carries its parent span id explicitly via the
-``parent_id`` argument, and context can be adopted explicitly —
+it. Work handed to a detached worker, which starts from an empty
+context, carries its parent span id explicitly via the ``parent_id``
+argument, and context can be adopted explicitly —
 :meth:`TelemetryHub.trace_scope` for foreign contexts arriving over the
 serving wire, or the ``trace_id`` argument to :meth:`TelemetryHub.span`
 for activations replayed on detached worker threads — so one detection
@@ -62,6 +65,7 @@ import functools
 import itertools
 import os
 import threading
+from contextvars import ContextVar
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
@@ -70,13 +74,19 @@ from repro.telemetry.events import ALL_EVENT_TYPES, TraceEvent
 if TYPE_CHECKING:
     from repro.telemetry.processors import TelemetryProcessor
 
-#: sentinel distinguishing "inherit parent from this thread's stack"
+#: sentinel distinguishing "inherit parent from this context's position"
 #: from an explicit parent (including an explicit ``None`` root).
 INHERIT: Any = object()
 
 #: ``TelemetrySpan._trace_restore`` of a span that did not change its
-#: thread's current trace (``None`` is a real value to restore).
+#: context's current trace (``None`` is a real value to restore).
 _KEEP: Any = object()
+
+#: a tracing position: ``(trace id, open span ids innermost last)``
+Position = tuple[Optional[str], tuple[int, ...]]
+
+#: the position outside every trace
+NOWHERE: Position = (None, ())
 
 #: process-global span-id source shared by every hub (see module docs).
 _SPAN_IDS = itertools.count(1)
@@ -107,29 +117,6 @@ def new_trace_id() -> str:
     return f"{_TRACE_PREFIX}{next(_TRACE_SERIAL) & 0xFFFFFFFF:08x}"
 
 
-class SpanContext:
-    """One thread's (or one asyncio task's) tracing position."""
-
-    __slots__ = ("stack", "trace")
-
-    def __init__(self) -> None:
-        #: ids of the open spans, innermost last
-        self.stack: list[int] = []
-        #: the trace this thread is inside, if any
-        self.trace: Optional[str] = None
-
-
-class _ThreadContext(threading.local):
-    """``.ctx`` is the calling thread's :class:`SpanContext`.
-
-    The asyncio lane swaps ``ctx`` per task (``scheduler._isolated``),
-    so interleaved coroutines never share a span stack.
-    """
-
-    def __init__(self) -> None:
-        self.ctx = SpanContext()
-
-
 class TelemetrySpan:
     """An open scope; emits its event when closed.
 
@@ -145,8 +132,9 @@ class TelemetrySpan:
     """
 
     __slots__ = (
-        "_hub", "_cls", "_fields", "_context", "span_id", "parent_span_id",
-        "trace_id", "started", "_open", "_pushed", "_trace_restore",
+        "_hub", "_cls", "_fields", "span_id", "parent_span_id", "trace_id",
+        "started", "_open", "_pushed", "_trace_restore", "_position",
+        "_token",
     )
 
     def __init__(self, hub: "TelemetryHub", cls: type[TraceEvent],
@@ -155,35 +143,36 @@ class TelemetrySpan:
         self._hub = hub
         self._cls = cls
         self._fields = fields
-        self.span_id = next(_SPAN_IDS)
-        self._context = context = hub._local.ctx
+        self.span_id = span_id = next(_SPAN_IDS)
+        current, stack = hub._position.get()
         self._pushed = recorded
         if parent_id is not INHERIT:
             self.parent_span_id = parent_id
         elif recorded:
-            stack = context.stack
             self.parent_span_id = stack[-1] if stack else None
         else:
             self.parent_span_id = None
-        current = context.trace
         if trace_id is INHERIT or trace_id is None:
             if current is None:
                 # Root of a new lifecycle: mint a trace and own it.
-                current = context.trace = new_trace_id()
+                trace_id = new_trace_id()
                 self._trace_restore = None
             else:
+                trace_id = current
                 self._trace_restore = _KEEP
-            self.trace_id = current
-        else:
+        elif trace_id != current:
             # Explicit adoption (detached replay, cross-thread handoff).
-            self.trace_id = trace_id
-            if trace_id != current:
-                context.trace = trace_id
-                self._trace_restore = current
-            else:
-                self._trace_restore = _KEEP
-        if recorded:
-            context.stack.append(self.span_id)
+            self._trace_restore = current
+        else:
+            self._trace_restore = _KEEP
+        self.trace_id = trace_id
+        if recorded or self._trace_restore is not _KEEP:
+            self._position = position = (
+                trace_id, stack + (span_id,) if recorded else stack
+            )
+            self._token = hub._position.set(position)
+        else:
+            self._token = None
         self._open = True
         self.started = perf_counter()
 
@@ -201,21 +190,12 @@ class TelemetrySpan:
             return 0.0
         self._open = False
         elapsed_ms = (perf_counter() - self.started) * 1000.0
-        context = self._context
-        if self._pushed:
-            stack = context.stack
-            if stack and stack[-1] == self.span_id:
-                stack.pop()
-            else:  # unbalanced close (error paths); drop our frame anyway
-                try:
-                    stack.remove(self.span_id)
-                except ValueError:
-                    pass
-        if self._trace_restore is not _KEEP:
-            context.trace = self._trace_restore
+        hub = self._hub
+        if self._token is not None:
+            hub._leave(self._token, self._position, self._trace_restore,
+                       self.span_id if self._pushed else None)
         if fields:
             self._fields.update(fields)
-        hub = self._hub
         # Looked up now, not at open: a processor attached while the
         # span was open receives it.
         route = hub._routes.get(self._cls, hub._fallback)
@@ -298,7 +278,10 @@ class TelemetryHub:
         #: site timing a scope itself asks here whether a span is owed
         self.recorded: frozenset[type] = frozenset()
         self._attach_lock = threading.Lock()
-        self._local = _ThreadContext()
+        #: this hub's tracing position in the current context
+        self._position: ContextVar[Position] = ContextVar(
+            "telemetry.position", default=NOWHERE
+        )
 
     # -- processors ----------------------------------------------------------
 
@@ -370,18 +353,37 @@ class TelemetryHub:
     # -- span context --------------------------------------------------------
 
     def current_span_id(self) -> Optional[int]:
-        """The innermost open span on this thread, if any."""
-        stack = self._local.ctx.stack
+        """The innermost open span in this context, if any."""
+        stack = self._position.get()[1]
         return stack[-1] if stack else None
 
     def current_trace_id(self) -> Optional[str]:
-        """The trace this thread is currently inside, if any."""
-        return self._local.ctx.trace
+        """The trace this context is currently inside, if any."""
+        return self._position.get()[0]
 
-    def task_context(self) -> tuple[Any, str, SpanContext]:
-        """An :func:`~repro.core.async_executor.isolate` spec giving an
-        asyncio task a span context of its own, empty to start with."""
-        return (self._local, "ctx", SpanContext())
+    def _leave(self, token: Any, position: Position, trace: Any,
+               span_id: Optional[int]) -> None:
+        """Undo the ``set`` that installed ``position``.
+
+        Balanced (nothing set since, same context) is a ``reset``.
+        Otherwise — an inner scope left open on an error path, or a
+        close from another context — the current position keeps its
+        other spans: ``span_id`` is dropped from it and, unless
+        ``trace`` is ``_KEEP``, the trace becomes ``trace``.
+        """
+        var = self._position
+        current = var.get()
+        if current is position:
+            try:
+                var.reset(token)
+                return
+            except ValueError:  # the token belongs to another context
+                pass
+        current_trace, stack = current
+        if span_id is not None and span_id in stack:
+            at = len(stack) - 1 - stack[::-1].index(span_id)
+            stack = stack[:at] + stack[at + 1:]
+        var.set((current_trace if trace is _KEEP else trace, stack))
 
     @contextlib.contextmanager
     def trace_scope(self, trace_id: str,
@@ -394,24 +396,15 @@ class TelemetryHub:
         into the peer's wire span, stitching the client and server
         halves into one tree. Restores the prior context on exit.
         """
-        context = self._local.ctx
-        prior = context.trace
-        context.trace = trace_id
-        stack = context.stack
+        prior, stack = self._position.get()
         if parent_span_id is not None:
-            stack.append(parent_span_id)
+            stack += (parent_span_id,)
+        position = (trace_id, stack)
+        token = self._position.set(position)
         try:
             yield
         finally:
-            if parent_span_id is not None:
-                if stack and stack[-1] == parent_span_id:
-                    stack.pop()
-                else:  # unbalanced inner close; drop our frame anyway
-                    try:
-                        stack.remove(parent_span_id)
-                    except ValueError:
-                        pass
-            context.trace = prior
+            self._leave(token, position, prior, parent_span_id)
 
     # -- emission ------------------------------------------------------------
 
@@ -452,12 +445,11 @@ class TelemetryHub:
             # clock reading or context lookup is needed.
             self._reduce(route, fields, 0.0)
             return None
-        context = self._local.ctx
+        current, stack = self._position.get()
         if parent_id is INHERIT:
-            stack = context.stack
             parent_id = stack[-1] if stack else None
         if trace_id is None:
-            trace_id = context.trace
+            trace_id = current
         return self._deliver(
             route, cls, next(_SPAN_IDS), parent_id, perf_counter(), 0.0,
             trace_id, fields,
@@ -477,7 +469,7 @@ class TelemetryHub:
 
     def _reduce(self, route: Route, fields: dict, duration_ms: float) -> None:
         """Feed one emission to the route's reducers, with the class's
-        field defaults filled in. Failures are isolated."""
+        field defaults filled in. A failing reducer is counted, not raised."""
         reducers, __, defaults = route
         if reducers:
             if defaults:

@@ -17,7 +17,7 @@ function of ``(fields, duration_ms)`` — and never causes an event
 object to be built: the hub materialises one per emission only when a
 recording processor will keep it.
 
-Processors are synchronous and must be cheap; the hub isolates their
+Processors are synchronous and must be cheap; the hub contains their
 failures, but a slow processor still slows the instrumented paths.
 """
 

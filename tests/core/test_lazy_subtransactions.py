@@ -147,9 +147,9 @@ def test_current_transaction_never_returns_the_pending_record(system, lane):
 
     def peek(occurrence):
         detector = system.detector
-        parked = detector._local.txn
+        parked = detector._execution.get()[0]
         seen.append((parked, detector.current_transaction(),
-                     detector._local.txn))
+                     detector._execution.get()[0]))
 
     add_rule(system, lane, "peek", "e", peek)
     with system.transaction():
