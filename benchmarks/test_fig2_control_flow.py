@@ -61,7 +61,9 @@ def test_fig2_step_sequence(benchmark):
     # Step 5: inter-application composite.
     g_order = ep1.export_event("order")
     g_ship = ep2.export_event("ship")
-    both = ged.define("order_then_ship", (g_order >> g_ship))
+    both = ged.define(
+        "order_then_ship", ged.event(g_order) >> ged.event(g_ship)
+    )
     ep2.subscribe_global(both, "fulfillment")
     # Step 6: the delivered global event runs a detached rule (its own
     # subtransaction tree in app2).

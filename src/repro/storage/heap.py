@@ -1,9 +1,17 @@
 """Heap files: unordered collections of variable-length records.
 
 A heap file is a set of slotted pages reached through the buffer pool.
-Records are addressed by a stable :class:`RecordId` (page, slot). The
-file keeps a simple in-memory free-space hint (pages with room) that is
-rebuilt lazily; correctness never depends on it.
+Records are addressed by a stable :class:`RecordId` (page, slot).
+
+The file keeps an in-memory free-space map: page id -> the longest record
+the page accepts now (:meth:`SlottedPage.room`), or None while unknown.
+Every page mutation goes through the heap, which refreshes the page's
+entry; a heap opened over existing pages starts with every entry
+unknown and learns each the first time an insert reaches it. An insert
+skips the pages known to be too full and pins the others clean, so only
+the page that takes the record is written back; it lands exactly where a
+newest-first scan of every page would put it. The map is a hint: a page
+is always asked again before a record goes in.
 """
 
 from __future__ import annotations
@@ -46,6 +54,9 @@ class HeapFile:
     def __init__(self, pool: BufferPool, pages: Optional[list[int]] = None):
         self._pool = pool
         self._pages: list[int] = list(pages) if pages else []
+        #: page id -> room for the next insert (None: not yet known); its
+        #: keys are the heap's pages, so it answers membership too
+        self._room: dict[int, Optional[int]] = dict.fromkeys(self._pages)
         self._lock = threading.RLock()
 
     @property
@@ -53,22 +64,36 @@ class HeapFile:
         with self._lock:
             return list(self._pages)
 
+    def has_page(self, page_id: int) -> bool:
+        return page_id in self._room
+
     # -- mutation ----------------------------------------------------------------
 
     def insert(self, record: bytes) -> RecordId:
         """Store ``record``; returns its new :class:`RecordId`."""
         if faults.ENABLED:
             faults.fault_point("heap.insert.pre")
+        size = len(record)
         with self._lock:
-            # Try the most recently used pages first: inserts cluster there.
+            # The newest page with room takes it: inserts cluster there.
             for page_id in reversed(self._pages):
-                with self._pool.page(page_id, dirty=True) as page:
-                    if page.can_insert(len(record)):
+                room = self._room[page_id]
+                if room is not None and room < size:
+                    continue
+                page = self._pool.fetch_page(page_id)
+                slot = None
+                try:
+                    if page.can_insert(size):
                         slot = page.insert(record)
-                        return RecordId(page_id, slot)
+                    self._room[page_id] = page.room()
+                finally:
+                    self._pool.unpin_page(page_id, dirty=slot is not None)
+                if slot is not None:
+                    return RecordId(page_id, slot)
             page_id, page = self._pool.new_page()
             try:
                 slot = page.insert(record)
+                self._room[page_id] = page.room()
             finally:
                 self._pool.unpin_page(page_id, dirty=True)
             self._pages.append(page_id)
@@ -81,23 +106,28 @@ class HeapFile:
         a crash lands the record at its original address.
         """
         with self._lock:
-            while rid.page_id not in self._pages:
+            while rid.page_id not in self._room:
                 page_id, page = self._pool.new_page()
                 self._pool.unpin_page(page_id, dirty=True)
                 self._pages.append(page_id)
-                if page_id > rid.page_id and rid.page_id not in self._pages:
+                self._room[page_id] = None
+                if page_id > rid.page_id and rid.page_id not in self._room:
                     raise PageError(
                         f"cannot materialize page {rid.page_id} for redo"
                     )
             with self._pool.page(rid.page_id, dirty=True) as page:
-                if page.is_slot_live(rid.slot):
-                    page.update(rid.slot, record)
-                    return
-                # Replay must hit the exact slot: picking the lowest
-                # free one (plain insert) diverges the moment a CLR
-                # re-creates a deleted record while lower slots are
-                # free — found by the crash sweep, not hypothetical.
-                page.insert_into(rid.slot, record)
+                try:
+                    if page.is_slot_live(rid.slot):
+                        page.update(rid.slot, record)
+                    else:
+                        # Replay must hit the exact slot: picking the
+                        # lowest free one (plain insert) diverges the
+                        # moment a CLR re-creates a deleted record while
+                        # lower slots are free — found by the crash
+                        # sweep, not hypothetical.
+                        page.insert_into(rid.slot, record)
+                finally:
+                    self._room[rid.page_id] = page.room()
 
     def read(self, rid: RecordId) -> bytes:
         with self._lock:
@@ -120,6 +150,9 @@ class HeapFile:
                     if not page.is_slot_live(rid.slot):
                         raise RecordNotFound(str(rid)) from exc
                     raise
+                finally:
+                    # A failed update may still have compacted the page.
+                    self._room[rid.page_id] = page.room()
 
     def delete(self, rid: RecordId) -> None:
         if faults.ENABLED:
@@ -131,10 +164,11 @@ class HeapFile:
                     page.delete(rid.slot)
                 except PageError as exc:
                     raise RecordNotFound(str(rid)) from exc
+                self._room[rid.page_id] = page.room()
 
     def exists(self, rid: RecordId) -> bool:
         with self._lock:
-            if rid.page_id not in self._pages:
+            if rid.page_id not in self._room:
                 return False
             with self._pool.page(rid.page_id) as page:
                 return page.is_slot_live(rid.slot)
@@ -162,5 +196,5 @@ class HeapFile:
         return sum(1 for __ in self.scan())
 
     def _check(self, rid: RecordId) -> None:
-        if rid.page_id not in self._pages:
+        if rid.page_id not in self._room:
             raise RecordNotFound(str(rid))

@@ -95,38 +95,47 @@ class SlottedPage:
     def _set_slot(self, index: int, offset: int, length: int) -> None:
         _SLOT.pack_into(self._data, _HEADER_SIZE + index * _SLOT_SIZE, offset, length)
 
-    def _find_free_slot(self) -> Optional[int]:
-        for i in range(self.slot_count):
-            offset, __ = self._slot(i)
-            if offset == _TOMBSTONE:
-                return i
-        return None
+    def _next_slot(self) -> tuple[int, int]:
+        """``(slot, room)`` for the next insert: the lowest tombstoned slot
+        (else a new one) and the longest record it then takes, negative
+        when none fits.
+
+        The tombstone search reads the directory's offsets as one run of
+        uint16s; 0xFFFF reads the same in either byte order.
+        """
+        __, count, free_end = _HEADER.unpack_from(self._data, 0)
+        directory_end = _HEADER_SIZE + count * _SLOT_SIZE
+        room = free_end - directory_end
+        directory = memoryview(self._data)[_HEADER_SIZE:directory_end]
+        offsets = directory.cast("H")[::2].tolist()
+        if _TOMBSTONE in offsets:
+            return offsets.index(_TOMBSTONE), room
+        return count, room - _SLOT_SIZE
 
     # -- record operations ----------------------------------------------------
 
+    def room(self) -> int:
+        """Longest record an insert accepts now (negative when none fits)."""
+        return self._next_slot()[1]
+
     def can_insert(self, length: int) -> bool:
         """True if a record of ``length`` bytes fits on this page."""
-        need_slot = self._find_free_slot() is None
-        needed = length + (_SLOT_SIZE if need_slot else 0)
-        return self.free_space >= needed and length < _TOMBSTONE
+        return length <= self.room()
 
     def insert(self, record: bytes) -> int:
-        """Store ``record`` and return its slot number."""
+        """Store ``record`` in the lowest free slot and return its number."""
         if not record:
             raise PageError("cannot insert an empty record")
-        if not self.can_insert(len(record)):
+        slot, room = self._next_slot()
+        if len(record) > room:
             raise PageError(
                 f"record of {len(record)} bytes does not fit "
                 f"(free={self.free_space})"
             )
-        new_end = self.free_space_end - len(record)
-        self._data[new_end : new_end + len(record)] = record
-        slot = self._find_free_slot()
-        if slot is None:
-            slot = self.slot_count
-            self._write_header(self.lsn, slot + 1, new_end)
-        else:
-            self._write_header(self.lsn, self.slot_count, new_end)
+        lsn, count, free_end = _HEADER.unpack_from(self._data, 0)
+        new_end = free_end - len(record)
+        self._data[new_end:free_end] = record
+        self._write_header(lsn, max(count, slot + 1), new_end)
         self._set_slot(slot, new_end, len(record))
         return slot
 
@@ -198,20 +207,24 @@ class SlottedPage:
             self._set_slot(slot, offset, len(record))
             return
         # Needs more room: tombstone, compact if necessary, re-insert.
+        old = bytes(self._data[offset : offset + length])
         self._set_slot(slot, _TOMBSTONE, 0)
         if self.free_space < len(record):
             self.compact()
-        if self.free_space < len(record):
-            # Restore the original so the caller sees an unchanged page.
-            self._set_slot(slot, offset, length)
+        free = self.free_space
+        # On no fit the original goes back instead: compaction may have
+        # moved other records over its bytes, and it fits in what it freed.
+        fits = free >= len(record)
+        placed = record if fits else old
+        new_end = self.free_space_end - len(placed)
+        self._data[new_end : new_end + len(placed)] = placed
+        self._write_header(self.lsn, self.slot_count, new_end)
+        self._set_slot(slot, new_end, len(placed))
+        if not fits:
             raise PageError(
                 f"updated record of {len(record)} bytes does not fit "
-                f"(free={self.free_space})"
+                f"(free={free})"
             )
-        new_end = self.free_space_end - len(record)
-        self._data[new_end : new_end + len(record)] = record
-        self._write_header(self.lsn, self.slot_count, new_end)
-        self._set_slot(slot, new_end, len(record))
 
     def compact(self) -> None:
         """Squeeze out holes left by deletes/updates; slots keep their ids."""

@@ -160,7 +160,7 @@ def recover(wal: WriteAheadLog, heap: HeapFile) -> RecoveryReport:
 
 def _page_is_current(heap: HeapFile, record: LogRecord) -> bool:
     """True if the page already reflects this log record."""
-    if record.page_id not in heap.pages:
+    if not heap.has_page(record.page_id):
         return False
     return heap.page_lsn(record.page_id) >= record.lsn
 

@@ -91,6 +91,20 @@ def test_update_deleted_slot_rejected():
         page.update(slot, b"y")
 
 
+def test_failed_growing_update_keeps_the_record():
+    page = SlottedPage()
+    first = page.insert(b"a" * 100)
+    kept = page.insert(b"k" * 100)
+    others = [page.insert(bytes([c]) * 1000) for c in b"cd"]
+    page.delete(first)
+    # Compaction moves the later records up over kept's old bytes and
+    # still leaves too little room, so the update fails.
+    with pytest.raises(PageError):
+        page.update(kept, b"K" * 3500)
+    assert page.read(kept) == b"k" * 100
+    assert [page.read(s) for s in others] == [b"c" * 1000, b"d" * 1000]
+
+
 def test_compact_reclaims_space():
     page = SlottedPage()
     slots = [page.insert(b"x" * 200) for __ in range(10)]
