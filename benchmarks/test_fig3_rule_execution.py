@@ -38,7 +38,6 @@ def test_fig3_cond_action_packaging(benchmark):
 
     det.rule("R", "e", condition=condition, action=action)
     top = ntm.begin_top(label="app")
-    det.set_current_transaction(top)
 
     def trigger_pair():
         observed.clear()
@@ -46,7 +45,8 @@ def test_fig3_cond_action_packaging(benchmark):
         det.raise_event("e", go=True)  # condition true: action runs
         return list(observed)
 
-    result = benchmark(trigger_pair)
+    with det.in_transaction(top):
+        result = benchmark(trigger_pair)
     assert result == [("rule:R", 1)]
     # every completed rule subtransaction committed
     committed = [t for t in ntm.tree(top) if t.state is TxnState.COMMITTED]
@@ -120,8 +120,7 @@ def test_fig3_dispatch_cost(executor_kind, benchmark):
             priority=5,
         )
     top = ntm.begin_top()
-    det.set_current_transaction(top)
-
-    benchmark(lambda: det.raise_event("e"))
+    with det.in_transaction(top):
+        benchmark(lambda: det.raise_event("e"))
     assert counter["fired"] >= 10
     det.shutdown()

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -171,7 +171,7 @@ class LocalEventDetector:
         self._global_events: set[str] = set()
         self._global_listeners: list[Callable[[PrimitiveOccurrence], None]] = []
         #: handler for DETACHED-coupled activations; the Sentinel facade
-        #: installs one that opens a fresh top-level transaction.
+        #: installs its detached queue's submit.
         self.detached_handler: Optional[Callable[[RuleActivation], None]] = None
         #: batch mode: record triggers instead of executing rules
         self.collect_mode = False
@@ -764,10 +764,31 @@ class LocalEventDetector:
         txn = self._execution.get()[0]
         return txn.top_level_id if txn is not None else None
 
-    def set_current_transaction(
-        self, txn: Optional[NestedTransaction]
-    ) -> None:
-        self._execution.set((txn,) + self._execution.get()[1:])
+    def transaction_root(self) -> Optional[NestedTransaction]:
+        """The root of this context's transaction; begins nothing."""
+        txn = self._execution.get()[0]
+        if txn.__class__ is PendingSubtransaction:
+            txn = txn.parent
+        return txn.root() if txn is not None else None
+
+    def bind_transaction(self, txn: Optional[NestedTransaction]) -> Token:
+        """Bind ``txn`` in this context until ``token.var.reset(token)``
+        (``ValueError`` from another context)."""
+        return self._execution.set((txn,) + self._execution.get()[1:])
+
+    def enter_detached(self, root: NestedTransaction) -> None:
+        """Start a detached activation in its copied context: ``root``
+        at depth 0 outside any rule, nothing of the trigger's bound."""
+        self._execution.set((root, 0, None))
+
+    @contextmanager
+    def in_transaction(self, txn: Optional[NestedTransaction]):
+        """Bind ``txn`` for the block (a detector without the facade)."""
+        token = self.bind_transaction(txn)
+        try:
+            yield txn
+        finally:
+            self._execution.reset(token)
 
     # -- global events -----------------------------------------------------------------
 

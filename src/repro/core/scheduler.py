@@ -25,7 +25,7 @@ import inspect
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextvars import copy_context
+from contextvars import Context, copy_context
 from dataclasses import dataclass
 from itertools import groupby
 from time import perf_counter
@@ -64,13 +64,6 @@ class RuleActivation:
     #: end-to-end trace open when the trigger happened; detached worker
     #: threads adopt it so the rule span joins the originating trace
     trace_id: Optional[str] = None
-    #: ``perf_counter`` at detached-queue submit (wait-time accounting)
-    enqueued_at: Optional[float] = None
-    depth: int = 0
-
-    @property
-    def priority(self) -> int:
-        return self.rule.priority
 
 
 class PendingSubtransaction:
@@ -511,7 +504,6 @@ class DetachedQueueStats:
     submitted: int = 0
     executed: int = 0
     dropped: int = 0
-    spilled: int = 0
     blocked: int = 0
     errors: int = 0
 
@@ -521,22 +513,21 @@ class DetachedRuleQueue:
 
     The thread-per-activation scheme the facade used before has no
     bound: a trigger storm creates a thread storm. This queue caps the
-    backlog at ``capacity`` and resolves overflow with one of three
+    backlog at ``capacity`` and resolves overflow with one of two
     policies:
 
     * ``"block"`` — the producing (triggering) thread waits for room;
       detection slows down instead of memory growing without bound;
     * ``"drop_oldest"`` — the oldest queued activation is discarded to
-      make room (freshest-wins, for advisory rules);
-    * ``"spill"`` — the oldest queued activation is handed to the
-      spill sink (e.g. an event log via :func:`eventlog_spill`) for
-      later batch replay, then discarded from the queue.
+      make room (freshest-wins, for advisory rules).
 
-    ``workers`` daemon threads drain the queue through ``runner`` (the
-    facade's run-in-fresh-top-level-transaction body). Worker errors
-    are counted in ``stats.errors`` and the latest kept in ``errors`` —
-    a failing detached rule must not kill the drain loop. Every
-    overflow emits a
+    ``workers`` daemon threads, started by the first submit, drain the
+    queue through ``runner`` (the facade's run-in-fresh-top-level-
+    transaction body). Each activation runs in a copy of the context it
+    was submitted from, so it keeps its trigger's current detector and
+    trace position. Worker errors are counted in ``stats.errors`` and
+    the latest kept in ``errors`` — a failing detached rule must not
+    kill the drain loop. Every overflow emits a
     :class:`~repro.telemetry.events.DetachedOverflow` point.
     """
 
@@ -546,15 +537,13 @@ class DetachedRuleQueue:
         capacity: int = 256,
         policy: str = "block",
         workers: int = 2,
-        spill_sink: Optional[Callable[[RuleActivation], None]] = None,
         telemetry=None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in ("block", "drop_oldest", "spill"):
+        if policy not in ("block", "drop_oldest"):
             raise ValueError(
-                f"policy must be 'block', 'drop_oldest' or 'spill', "
-                f"got {policy!r}"
+                f"policy must be 'block' or 'drop_oldest', got {policy!r}"
             )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -564,13 +553,11 @@ class DetachedRuleQueue:
         self.capacity = capacity
         self.policy = policy
         self.telemetry = telemetry if telemetry is not None else TelemetryHub()
-        self._spill_sink = spill_sink
-        #: activations spilled with no sink configured (inspect/replay)
-        self.spill_log: list[RuleActivation] = []
         self.stats = DetachedQueueStats()
         #: the latest 64 worker errors; ``stats.errors`` counts them all
         self.errors: deque[tuple[str, Exception]] = deque(maxlen=64)
-        self._queue: deque[RuleActivation] = deque()
+        #: ``(context, activation, perf_counter())`` as of each submit
+        self._queue: deque[tuple[Context, RuleActivation, float]] = deque()
         #: queue-residency (wait) accounting, updated under the lock
         self._wait_count = 0
         self._wait_total_ms = 0.0
@@ -581,14 +568,13 @@ class DetachedRuleQueue:
         self._idle = threading.Condition(self._lock)
         self._active = 0
         self._closed = False
+        #: started by the first submit: an idle system owns no thread
         self._workers = [
             threading.Thread(
                 target=self._drain, name=f"detached-worker-{i}", daemon=True
             )
             for i in range(workers)
         ]
-        for worker in self._workers:
-            worker.start()
 
     # -- producer side -----------------------------------------------------------
 
@@ -596,10 +582,13 @@ class DetachedRuleQueue:
         """Enqueue one activation, applying the overflow policy."""
         if faults.ENABLED:
             faults.fault_point("detached.submit.pre")
-        spill_out: list[RuleActivation] = []
+        context = copy_context()
         with self._lock:
             if self._closed:
                 raise RuntimeError("detached queue is closed")
+            if self._workers[0].ident is None:
+                for worker in self._workers:
+                    worker.start()
             while len(self._queue) >= self.capacity:
                 self._overflow_point(activation)
                 if self.policy == "block":
@@ -607,20 +596,12 @@ class DetachedRuleQueue:
                     self._not_full.wait()
                     if self._closed:
                         raise RuntimeError("detached queue is closed")
-                elif self.policy == "drop_oldest":
+                else:  # drop_oldest
                     self._queue.popleft()
                     self.stats.dropped += 1
-                else:  # spill
-                    spill_out.append(self._queue.popleft())
-                    self.stats.spilled += 1
-            activation.enqueued_at = perf_counter()
-            self._queue.append(activation)
+            self._queue.append((context, activation, perf_counter()))
             self.stats.submitted += 1
             self._not_empty.notify()
-        # The sink runs outside the lock: it may be arbitrarily slow
-        # (file-backed event log) and must not stall the workers.
-        for victim in spill_out:
-            self._spill(victim)
 
     def _overflow_point(self, activation: RuleActivation) -> None:
         if self.telemetry.active:
@@ -633,12 +614,6 @@ class DetachedRuleQueue:
                 backlog=len(self._queue),
             )
 
-    def _spill(self, activation: RuleActivation) -> None:
-        if self._spill_sink is not None:
-            self._spill_sink(activation)
-        else:
-            self.spill_log.append(activation)
-
     # -- worker side ----------------------------------------------------------------
 
     def _drain(self) -> None:
@@ -648,20 +623,15 @@ class DetachedRuleQueue:
                     self._not_empty.wait()
                 if not self._queue and self._closed:
                     return
-                activation = self._queue.popleft()
+                context, activation, enqueued_at = self._queue.popleft()
                 self._active += 1
                 self._not_full.notify()
-                if activation.enqueued_at is not None:
-                    wait_ms = (
-                        perf_counter() - activation.enqueued_at
-                    ) * 1000.0
-                    self._wait_count += 1
-                    self._wait_total_ms += wait_ms
-                    if wait_ms > self._wait_max_ms:
-                        self._wait_max_ms = wait_ms
-                else:
-                    wait_ms = None
-            if wait_ms is not None and self.telemetry.active:
+                wait_ms = (perf_counter() - enqueued_at) * 1000.0
+                self._wait_count += 1
+                self._wait_total_ms += wait_ms
+                if wait_ms > self._wait_max_ms:
+                    self._wait_max_ms = wait_ms
+            if self.telemetry.active:
                 from repro.telemetry.events import DetachedQueueWait
 
                 self.telemetry.point(
@@ -680,14 +650,14 @@ class DetachedRuleQueue:
                 if faults.ENABLED:
                     def run_once() -> None:
                         faults.fault_point("detached.run.pre")
-                        self._runner(activation)
+                        context.run(self._runner, activation)
 
                     call_with_retry(
                         run_once,
                         site="detached.run", policy=DETERMINISTIC_POLICY,
                     )
                 else:
-                    self._runner(activation)
+                    context.run(self._runner, activation)
             except Exception as exc:
                 self.errors.append((activation.rule.name, exc))
                 self.stats.errors += 1
@@ -742,7 +712,8 @@ class DetachedRuleQueue:
             self._not_full.notify_all()
             self._idle.notify_all()
         for worker in self._workers:
-            worker.join(timeout if timeout is not None else None)
+            if worker.ident is not None:
+                worker.join(timeout)
 
     def snapshot(self) -> dict:
         """Gauges and counters for ``/metrics`` and ``/health``."""
@@ -760,7 +731,6 @@ class DetachedRuleQueue:
             "submitted": self.stats.submitted,
             "executed": self.stats.executed,
             "dropped": self.stats.dropped,
-            "spilled": self.stats.spilled,
             "blocked": self.stats.blocked,
             "errors": self.stats.errors,
             "wait_count": wait_count,
@@ -770,24 +740,3 @@ class DetachedRuleQueue:
             "wait_ms_max": round(wait_max, 4),
         }
 
-
-def eventlog_spill(log) -> Callable[[RuleActivation], None]:
-    """Adapt an :class:`~repro.eventlog.log.EventLog` into a spill sink.
-
-    A spilled activation is recorded as its triggering occurrence's
-    primitive constituents, so a later batch :func:`~repro.eventlog.replay.replay`
-    of the log re-detects the composite and re-triggers the rule.
-    """
-    from repro.core.params import PrimitiveOccurrence
-
-    def sink(activation: RuleActivation) -> None:
-        def walk(occurrence) -> None:
-            if isinstance(occurrence, PrimitiveOccurrence):
-                log.append(occurrence)
-                return
-            for constituent in getattr(occurrence, "constituents", ()):
-                walk(constituent)
-
-        walk(activation.occurrence)
-
-    return sink

@@ -13,8 +13,8 @@ detector subscribes to.
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar, Token
 from typing import Callable, Iterator, Optional
 
 from repro.errors import InvalidTransactionState
@@ -40,6 +40,7 @@ class OODBTransaction:
         self.storage_txn = storage_txn
         self.journal = IndexJournal()
         self._dirty: dict[OID, Persistent] = {}
+        self._token: Optional[Token] = None  # OpenOODB.begin's binding
 
     @property
     def txn_id(self) -> int:
@@ -110,7 +111,13 @@ class OpenOODB:
         self.on_pre_commit: list[TxnHook] = []
         self.on_commit: list[TxnHook] = []
         self.on_abort: list[TxnHook] = []
-        self._local = threading.local()
+        #: the transaction ``begin`` bound in this context
+        self._txn: ContextVar[Optional[OODBTransaction]] = ContextVar(
+            "oodb.txn", default=None
+        )
+        #: set by an owner that binds transactions itself (a Sentinel):
+        #: ``current()`` asks it, and ``begin`` binds nothing
+        self.binding: Optional[Callable[[], Optional[OODBTransaction]]] = None
         self._closed = False
 
     # -- transactions ------------------------------------------------------------
@@ -122,14 +129,18 @@ class OpenOODB:
                 "use nested transactions for rule execution"
             )
         txn = OODBTransaction(self, self.storage.begin())
-        self._local.txn = txn
+        if self.binding is None:
+            txn._token = self._txn.set(txn)
         for hook in list(self.on_begin):
             hook(txn)
         return txn
 
     def current(self) -> Optional[OODBTransaction]:
-        """The transaction active on this thread, if any."""
-        return getattr(self._local, "txn", None)
+        """The active transaction this context runs under, if any."""
+        if self.binding is not None:
+            return self.binding()
+        txn = self._txn.get()
+        return txn if txn is not None and txn.is_active else None
 
     def commit(self, txn: OODBTransaction) -> None:
         txn.storage_txn.require_active()
@@ -141,7 +152,7 @@ class OpenOODB:
         # Rules run at pre-commit may have dirtied more objects.
         self._flush_dirty(txn)
         self.storage.commit(txn.storage_txn)
-        self._clear_current(txn)
+        self._unbind(txn)
         for hook in list(self.on_commit):
             hook(txn)
 
@@ -150,7 +161,7 @@ class OpenOODB:
         self.storage.abort(txn.storage_txn)
         self.persistence.rollback_indexes(txn.journal)
         txn._dirty.clear()
-        self._clear_current(txn)
+        self._unbind(txn)
         for hook in list(self.on_abort):
             hook(txn)
 
@@ -159,9 +170,12 @@ class OpenOODB:
             __, obj = txn._dirty.popitem()
             self.persistence.save(txn.storage_txn, txn.journal, obj)
 
-    def _clear_current(self, txn: OODBTransaction) -> None:
-        if self.current() is txn:
-            self._local.txn = None
+    def _unbind(self, txn: OODBTransaction) -> None:
+        if txn._token is not None:
+            try:
+                self._txn.reset(txn._token)
+            except ValueError:
+                pass  # begun in another context; current() reads it as none
 
     @contextmanager
     def transaction(self) -> Iterator[OODBTransaction]:

@@ -20,18 +20,12 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:
     from repro.core.detector import LocalEventDetector
-    from repro.core.scheduler import DetachedRuleQueue
     from repro.sentinel import Sentinel, SystemReport
 
 
 # =========================================================================
 # Building blocks
 # =========================================================================
-
-def detached_queue_health(queue: "DetachedRuleQueue") -> dict[str, Any]:
-    """The detached-rule queue's gauges and counters."""
-    return queue.snapshot()
-
 
 def telemetry_health(telemetry) -> dict[str, Any]:
     return {
@@ -85,7 +79,7 @@ def system_health(system: "Sentinel") -> dict[str, Any]:
         "status": status,
         "name": system.name,
         "detached_backlog": system.detached.backlog(),
-        "detached_queue": detached_queue_health(system.detached),
+        "detached_queue": system.detached.snapshot(),
         "detector": detector_health(system.detector),
         "faults": faults_health(),
     }
@@ -148,8 +142,7 @@ def runtime_metric_lines(system: "Sentinel",
         lines.extend(render_gauge(
             f"{prefix}_detached_queue_{gauge}", queue[gauge]
         ))
-    for counter in ("submitted", "executed", "dropped", "spilled",
-                    "blocked", "errors"):
+    for counter in ("submitted", "executed", "dropped", "blocked", "errors"):
         family = f"{prefix}_detached_queue_{counter}_total"
         lines.append(f"# TYPE {family} counter")
         lines.append(f"{family} {queue[counter]}")

@@ -15,8 +15,8 @@ Wires together every module of the architecture in Figure 1:
   abort and commit events. However, these can be easily modified by
   deactivating these rules if events across transaction boundaries need
   to be detected"),
-* a detached-rule handler that runs DETACHED-coupled rules in their own
-  thread under a fresh top-level transaction.
+* a bounded queue that runs DETACHED-coupled rules on worker threads,
+  each under a fresh top-level transaction.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.core.events.primitive import (
     TemporalEventNode,
 )
 from repro.core.params import EventModifier, PrimitiveOccurrence
-from repro.core.reactive import Reactive, set_current_detector
+from repro.core.reactive import get_current_detector, set_current_detector
 from repro.core.rules import (
     Action,
     Condition,
@@ -137,6 +137,7 @@ class SentinelTransaction:
         #: telemetry scope covering the whole transaction (None when no
         #: processor was attached at begin time)
         self.span: Optional[TelemetrySpan] = None
+        self._token = None  # Sentinel.begin's binding (a Token)
 
     @property
     def txn_id(self) -> int:
@@ -221,7 +222,6 @@ class Sentinel(SentinelAPI):
         detached_capacity: int = 256,
         detached_policy: str = "block",
         detached_workers: int = 2,
-        detached_spill=None,
         detections_capacity: int = 1024,
     ):
         self.name = name
@@ -251,21 +251,22 @@ class Sentinel(SentinelAPI):
         if self.metrics is not None:
             self.metrics.read_engine(self.detector)
         ensure_system_events(self.detector)
-        self.detector.detached_handler = self._run_detached
         #: bounded detached-rule queue; overflow resolved by
-        #: ``detached_policy`` ("block" / "drop_oldest" / "spill", see
+        #: ``detached_policy`` ("block" / "drop_oldest", see
         #: :class:`~repro.core.scheduler.DetachedRuleQueue`)
         self.detached = DetachedRuleQueue(
             runner=self._execute_detached,
             capacity=detached_capacity,
             policy=detached_policy,
             workers=detached_workers,
-            spill_sink=detached_spill,
             telemetry=self.telemetry,
         )
-        self._detached_lock = threading.Lock()
+        self.detector.detached_handler = self.detached.submit
+        #: open transactions by the root the execution context binds
+        self._open: dict[NestedTransaction, SentinelTransaction] = {}
+        if self.db is not None:
+            self.db.binding = lambda: getattr(self.current(), "oodb", None)
         self._closing = False
-        self._local = threading.local()
         self._closed = False
         #: detection summaries recorded by watched rules, newest last
         self._detections: deque = deque(maxlen=detections_capacity)
@@ -558,7 +559,7 @@ class Sentinel(SentinelAPI):
 
     def begin(self) -> SentinelTransaction:
         """Start a top-level transaction; signals ``begin_transaction``."""
-        if self.current() is not None:
+        if self.detector.transaction_root() in self._open:
             raise InvalidTransactionState(
                 "a Sentinel transaction is already active on this thread"
             )
@@ -573,41 +574,53 @@ class Sentinel(SentinelAPI):
             txn.span = self.telemetry.open_span(
                 TransactionSpan, txn_id=txn.txn_id
             )
-        self._local.txn = txn
-        self.detector.set_current_transaction(root)
+        self._open[root] = txn
+        txn._token = self.detector.bind_transaction(root)
         # "The begin transaction event is always signaled at the
         # beginning of a transaction."
         self.detector.signal_system_event(BEGIN_TRANSACTION, txn.txn_id)
         return txn
 
     def current(self) -> Optional[SentinelTransaction]:
-        return getattr(self._local, "txn", None)
+        """The open transaction this context runs under, if any: an
+        action sees its trigger's on every lane but the detached one."""
+        return self._open.get(self.detector.transaction_root())
 
     def commit(self, txn: Optional[SentinelTransaction] = None) -> None:
         """Commit: pre-commit (deferred rules), storage commit, commit
         events (graph flush), then the rule transaction tree."""
         txn = self._resolve(txn)
-        if txn.oodb is not None:
-            # The OODB pre-commit hook signals pre_commit_transaction,
-            # which fires deferred rules before the storage commit.
-            self.db.commit(txn.oodb)
-        else:
-            self.detector.signal_system_event(
-                PRE_COMMIT_TRANSACTION, txn.txn_id
-            )
-        # Commit-event rules (including graph flush) run while the rule
-        # transaction tree is still alive.
-        self.detector.signal_system_event(COMMIT_TRANSACTION, txn.txn_id)
-        txn.root.commit()
+        # Bound here too: committed from another thread, its deferred
+        # and commit-event rules still run under it.
+        token = self.detector.bind_transaction(txn.root)
+        try:
+            if txn.oodb is not None:
+                # The OODB pre-commit hook signals pre_commit_transaction,
+                # which fires deferred rules before the storage commit.
+                self.db.commit(txn.oodb)
+            else:
+                self.detector.signal_system_event(
+                    PRE_COMMIT_TRANSACTION, txn.txn_id
+                )
+            # Commit-event rules (including graph flush) run while the
+            # rule transaction tree is still alive.
+            self.detector.signal_system_event(COMMIT_TRANSACTION, txn.txn_id)
+            txn.root.commit()
+        finally:
+            token.var.reset(token)
         self._finish(txn, outcome="committed")
 
     def abort(self, txn: Optional[SentinelTransaction] = None) -> None:
         """Abort: storage rollback, abort events (graph flush), tree abort."""
         txn = self._resolve(txn)
-        if txn.oodb is not None and txn.oodb.is_active:
-            self.db.abort(txn.oodb)
-        self.detector.signal_system_event(ABORT_TRANSACTION, txn.txn_id)
-        txn.root.abort()
+        token = self.detector.bind_transaction(txn.root)
+        try:
+            if txn.oodb is not None and txn.oodb.is_active:
+                self.db.abort(txn.oodb)
+            self.detector.signal_system_event(ABORT_TRANSACTION, txn.txn_id)
+            txn.root.abort()
+        finally:
+            token.var.reset(token)
         self._finish(txn, outcome="aborted")
 
     def _on_db_pre_commit(self, oodb_txn: OODBTransaction) -> None:
@@ -629,9 +642,11 @@ class Sentinel(SentinelAPI):
         if txn.span is not None:
             txn.span.close(outcome=outcome)
             txn.span = None
-        if self.current() is txn:
-            self._local.txn = None
-        self.detector.set_current_transaction(None)
+        del self._open[txn.root]
+        try:
+            txn._token.var.reset(txn._token)
+        except ValueError:
+            pass  # begun in another context; current() reads it as none
 
     @contextmanager
     def transaction(self) -> Iterator[SentinelTransaction]:
@@ -681,30 +696,20 @@ class Sentinel(SentinelAPI):
     # Detached rule execution
     # =====================================================================
 
-    def _run_detached(self, activation: RuleActivation) -> None:
-        """Hand a DETACHED-coupled activation to the bounded queue.
+    def _execute_detached(self, activation: RuleActivation) -> None:
+        """Run one detached activation under a fresh top-level transaction.
 
         The paper left detached mode as future work; we provide the
         natural semantics: a worker thread, a separate transaction
-        tree, no causal dependence on the triggering transaction.
-        During ``close()`` the queue is draining, so the rule runs
-        inline on the triggering thread instead (same fresh top-level
-        transaction, just synchronous).
+        tree, no causal dependence on the triggering transaction. It
+        runs in the queue's copy of the trigger's context (trace kept,
+        execution state the new root at depth 0, this system's detector
+        current even if the triggering thread never activated it).
         """
-        with self._detached_lock:
-            closing = self._closing
-        if closing:
-            self._execute_detached(activation)
-        else:
-            self.detached.submit(activation)
-
-    def _execute_detached(self, activation: RuleActivation) -> None:
-        """Run one detached activation under a fresh top-level transaction."""
-        self.activate()
         root = self.txns.begin_top(label=f"detached:{activation.rule.name}")
         activation.parent_txn = root
-        previous = self.detector.current_transaction()
-        self.detector.set_current_transaction(root)
+        self.detector.enter_detached(root)
+        set_current_detector(self.detector)
         try:
             self.detector.scheduler.run_one(activation)
             root.commit()
@@ -712,8 +717,6 @@ class Sentinel(SentinelAPI):
             if root.state.value == "active":
                 root.abort()
             raise
-        finally:
-            self.detector.set_current_transaction(previous)
 
     def wait_detached(self, timeout: Optional[float] = 10.0) -> None:
         """Wait for the detached-rule backlog to drain (tests, shutdown).
@@ -973,24 +976,17 @@ class Sentinel(SentinelAPI):
         """Shut down: join detached rules, abort open work, close the DB."""
         if self._closed:
             return
-        with self._detached_lock:
-            # From here on, detached dispatches run inline on their
-            # triggering thread instead of enqueuing (see _run_detached),
-            # so the drain below cannot race new submissions.
-            self._closing = True
-        try:
-            self.wait_detached()
-        except TimeoutError:
-            pass  # shutdown proceeds; the queue close below re-drains
-        self.detached.close()
+        self._closing = True
         current = self.current()
-        if current is not None and not current.finished:
+        if current is not None:
             self.abort(current)
+        # Then the transitive backlog, the abort's cascade included: a
+        # closed queue takes no more.
+        self.detached.join(timeout=10.0)
+        self.detached.close()
         self.detector.shutdown()
         if self.db is not None:
             self.db.close()
-        from repro.core.reactive import get_current_detector
-
         if get_current_detector() is self.detector:
             set_current_detector(None)
         # The monitor goes down last: /health keeps answering (503,

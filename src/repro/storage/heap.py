@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 from repro.errors import PageError, RecordNotFound
 from repro.faults import registry as faults
 from repro.storage.buffer import BufferPool
+from repro.storage.page import MAX_RECORD
 
 faults.declare(
     "heap.insert.pre", "heap.update.pre", "heap.delete.pre",
@@ -74,6 +75,8 @@ class HeapFile:
         if faults.ENABLED:
             faults.fault_point("heap.insert.pre")
         size = len(record)
+        if size > MAX_RECORD:  # no page takes it: allocate none
+            raise PageError(f"record of {size} bytes exceeds a page")
         with self._lock:
             # The newest page with room takes it: inserts cluster there.
             for page_id in reversed(self._pages):

@@ -29,6 +29,7 @@ _SLOT = struct.Struct("<HH")  # offset, length
 _HEADER_SIZE = _HEADER.size
 _SLOT_SIZE = _SLOT.size
 _TOMBSTONE = 0xFFFF
+MAX_RECORD = PAGE_SIZE - _HEADER_SIZE - _SLOT_SIZE  # an empty page's room
 
 
 class SlottedPage:

@@ -147,9 +147,8 @@ class DetachedOverflow(TraceEvent):
     """The bounded detached-rule queue hit capacity.
 
     ``policy`` names the overflow discipline that resolved it:
-    ``drop_oldest`` (the oldest activation was discarded), ``spill``
-    (the oldest activation was written to the spill sink), or
-    ``block`` (the producer waited for room).
+    ``drop_oldest`` (the oldest activation was discarded) or ``block``
+    (the producer waited for room).
     """
 
     stage: ClassVar[str] = "detached.overflow"

@@ -41,8 +41,8 @@ class TestConcurrentSubtransactions:
         for i in range(4):
             det.rule(f"bump{i}", "e", condition=lambda o: True, action=bump, priority=5)
         top = ntm.begin_top()
-        det.set_current_transaction(top)
-        det.raise_event("e")
+        with det.in_transaction(top):
+            det.raise_event("e")
         assert counter["value"] == 4
         assert det.scheduler.errors == []
 
@@ -70,8 +70,8 @@ class TestConcurrentSubtransactions:
         det.rule("ba", "e", condition=lambda o: True, action=make_action("b", "a", "ba"),
                  priority=5)
         top = ntm.begin_top()
-        det.set_current_transaction(top)
-        det.raise_event("e")
+        with det.in_transaction(top):
+            det.raise_event("e")
         # Exactly one completed; the victim's subtransaction aborted.
         assert len(completed) == 1
         assert len(det.scheduler.errors) == 1
@@ -104,8 +104,8 @@ class TestConcurrentSubtransactions:
         det.rule("good", "e", condition=lambda o: True, action=good, priority=10)
         det.rule("bad", "e", condition=lambda o: True, action=bad, priority=1)
         top = ntm.begin_top()
-        det.set_current_transaction(top)
-        det.raise_event("e")
+        with det.in_transaction(top):
+            det.raise_event("e")
         # priority classes serialize: good (p10) commits before bad (p1)
         # runs; bad's abort restores only its own snapshot ("good edit").
         assert doc.text == "good edit"

@@ -11,9 +11,7 @@ import time
 
 import pytest
 
-from repro.core.scheduler import DetachedRuleQueue, RuleActivation, eventlog_spill
-from repro.eventlog.log import EventLog
-from repro.eventlog.replay import replay
+from repro.core.scheduler import DetachedRuleQueue, RuleActivation
 from repro.sentinel import Sentinel
 
 
@@ -145,24 +143,6 @@ def test_close_wakes_blocked_producer():
     assert runner.ran == ["inflight", "queued"]
 
 
-def test_spill_defaults_to_the_spill_log():
-    runner = GatedRunner()
-    queue = DetachedRuleQueue(runner, capacity=1, policy="spill", workers=1)
-    try:
-        queue.submit(activation("inflight"))
-        assert runner.started.wait(timeout=10)
-        for name in ("victim", "survivor"):
-            queue.submit(activation(name))
-        assert queue.stats.spilled == 1
-        assert [act.rule.name for act in queue.spill_log] == ["victim"]
-        runner.gate.set()
-        assert queue.join(timeout=10)
-        assert runner.ran == ["inflight", "survivor"]
-    finally:
-        runner.gate.set()
-        queue.close(timeout=5)
-
-
 def test_worker_errors_are_recorded_not_fatal():
     def runner(act):
         if act.rule.name == "bad":
@@ -262,53 +242,6 @@ def test_facade_overflow_counts_in_metrics():
         system.close()
 
 
-def test_spilled_activations_replay_from_the_event_log():
-    """A spilled trigger is not lost: its primitive constituents land in
-    an event log, and replaying that log re-fires the rule."""
-    gate = threading.Event()
-    started = threading.Event()
-    spill = EventLog()
-    executed = []
-
-    def slow(occ):
-        started.set()
-        assert gate.wait(timeout=30)
-        executed.append(occ.params.values("n"))
-
-    system = Sentinel(
-        name="app", detached_capacity=1, detached_policy="spill",
-        detached_workers=1, detached_spill=eventlog_spill(spill),
-    )
-    try:
-        system.explicit_event("ev")
-        system.rule("slow", "ev", coupling="detached", action=slow)
-        system.raise_event("ev", n=0)
-        assert started.wait(timeout=10)
-        system.raise_event("ev", n=1)  # fills the queue
-        system.raise_event("ev", n=2)  # spills n=1
-        assert system.detached.stats.spilled == 1
-        assert len(spill) == 1
-        gate.set()
-        system.wait_detached(timeout=10)
-        assert sorted(executed) == [[0], [2]]
-    finally:
-        gate.set()
-        system.close()
-
-    # Batch-replay the spill log on a fresh system: the victim re-fires.
-    replayed = []
-    fresh = Sentinel(name="replay")
-    try:
-        fresh.explicit_event("ev")
-        fresh.rule("slow", "ev",
-                   action=lambda occ: replayed.append(occ.params.values("n")))
-        report = replay(spill, fresh.detector, mode="execute")
-        assert report.events_replayed == 1
-        assert replayed == [[1]]
-    finally:
-        fresh.close()
-
-
 def test_queue_wait_time_surfaces_in_snapshot_and_health():
     """Satellite observability: how long activations sat in the queue
     is part of the queue snapshot and therefore of /health."""
@@ -341,3 +274,48 @@ def test_wait_stats_zero_before_any_execution():
         assert snap["wait_ms_max"] == 0.0
     finally:
         system.close()
+
+
+def test_close_drains_a_detached_cascade():
+    """A detached rule that triggers another detached rule, with close()
+    called right after the first raise: close() waits for the
+    transitive backlog, so both run exactly once, on queue workers."""
+    ran = []
+    system = Sentinel(name="cascade")
+    system.explicit_event("first")
+    system.explicit_event("second")
+
+    def relay(occ):
+        time.sleep(0.05)  # close() is already waiting
+        ran.append(("relay", threading.current_thread().name))
+        system.raise_event("second")
+
+    system.rule("relay", "first", coupling="detached", action=relay)
+    system.rule("land", "second", coupling="detached",
+                action=lambda occ: ran.append(
+                    ("land", threading.current_thread().name)))
+    system.raise_event("first")
+    started = time.monotonic()
+    system.close()
+    assert time.monotonic() - started < 10
+    assert [rule for rule, __ in ran] == ["relay", "land"]
+    assert all(name.startswith("detached-worker") for __, name in ran)
+    assert system.detached.stats.executed == 2
+
+
+def test_close_runs_a_detached_rule_on_the_abort_it_makes():
+    """close() aborts the caller's open transaction before it drains
+    the queue, so a detached rule on ``abort_transaction`` still runs
+    (once) and the system closes."""
+    ran = []
+    before = set(threading.enumerate())
+    system = Sentinel(name="abort-on-close")
+    system.rule("on_abort", "abort_transaction", coupling="detached",
+                action=lambda occ: ran.append(
+                    threading.current_thread().name))
+    system.begin()
+    system.close()
+    assert len(ran) == 1 and ran[0].startswith("detached-worker")
+    assert system.current() is None
+    assert system.health()["healthy"] is False
+    assert set(threading.enumerate()) - before == set()

@@ -5,7 +5,6 @@ import threading
 
 from repro import Reactive, event
 from repro.reporting import (
-    detached_queue_health,
     detector_health,
     runtime_metric_lines,
     system_health,
@@ -27,9 +26,6 @@ def test_health_payloads_come_from_the_schema_module():
     try:
         assert system.health() == system_health(system)
         assert system.detector.health() == detector_health(system.detector)
-        assert system.detached.snapshot() == detached_queue_health(
-            system.detached
-        )
     finally:
         system.close()
 

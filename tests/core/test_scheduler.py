@@ -113,14 +113,14 @@ class TestSubtransactions:
         det, ntm = with_txns
         det.explicit_event("e")
         top = ntm.begin_top(label="app")
-        det.set_current_transaction(top)
         seen = []
 
         def action(occ):
             seen.append(det.current_transaction())
 
         det.rule("r", "e", condition=lambda o: True, action=action)
-        det.raise_event("e")
+        with det.in_transaction(top):
+            det.raise_event("e")
         assert len(seen) == 1
         sub = seen[0]
         assert sub.parent is top
@@ -131,7 +131,6 @@ class TestSubtransactions:
         det, ntm = with_txns
         det.explicit_event("e")
         top = ntm.begin_top()
-        det.set_current_transaction(top)
 
         class Counter:
             value = 0
@@ -145,7 +144,7 @@ class TestSubtransactions:
             raise ValueError("fail after mutation")
 
         det.rule("r", "e", condition=lambda o: True, action=action)
-        with pytest.raises(RuleExecutionError):
+        with det.in_transaction(top), pytest.raises(RuleExecutionError):
             det.raise_event("e")
         assert counter.value == 0  # restored by subtransaction abort
 
@@ -154,7 +153,6 @@ class TestSubtransactions:
         det.explicit_event("outer")
         det.explicit_event("inner")
         top = ntm.begin_top()
-        det.set_current_transaction(top)
         depths = []
 
         det.rule("r_out", "outer", condition=lambda o: True,
@@ -162,7 +160,8 @@ class TestSubtransactions:
                             det.raise_event("inner")))
         det.rule("r_in", "inner", condition=lambda o: True,
                  action=lambda o: depths.append(det.current_transaction().depth))
-        det.raise_event("outer")
+        with det.in_transaction(top):
+            det.raise_event("outer")
         assert depths == [1, 2]
 
     def test_no_transaction_no_subtransaction(self, with_txns):

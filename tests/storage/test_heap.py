@@ -241,3 +241,15 @@ def test_concurrent_mutations_keep_the_map_exact(tmp_path):
         for size in (1, 200, 700, 2000, 4000):
             expected = _scan_placement(heap, pool, disk, size)
             assert heap.insert(b"z" * size) == expected
+
+
+def test_oversized_insert_allocates_no_page(tmp_path):
+    """A record no page can hold is refused before a page is allocated:
+    the data file does not grow, and a reopen adopts no orphan page."""
+    with DiskManager(tmp_path / "data.db") as disk:
+        heap = HeapFile(BufferPool(disk, capacity=4))
+        heap.insert(b"small")
+        with pytest.raises(PageError):
+            heap.insert(b"x" * 5000)
+        assert disk.num_pages == 1
+        assert heap.pages == [0]

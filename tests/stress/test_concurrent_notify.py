@@ -165,5 +165,6 @@ def test_concurrent_raises_with_detached_rules():
         system.wait_detached(timeout=30)
         assert len(hits) == THREADS * 50
         assert system.detached.stats.errors == 0
+        assert system.detached.snapshot()["executed"] == THREADS * 50
     finally:
         system.close()
