@@ -37,6 +37,7 @@ from repro.errors import RuleExecutionError
 from repro.faults import registry as faults
 from repro.faults.retry import DETERMINISTIC_POLICY, call_with_retry
 from repro.telemetry.events import ConditionEvaluated, RuleExecution
+from repro.telemetry.processors import action_time
 from repro.transactions.nested import NestedTransaction, NestedTransactionManager
 
 if TYPE_CHECKING:
@@ -103,6 +104,8 @@ class SchedulerStats:
     executions: int = 0
     condition_rejections: int = 0
     failures: int = 0
+    #: conditions that ran, raising ones included
+    conditions_evaluated: int = 0
     max_depth_seen: int = 0
     batches: int = 0
 
@@ -346,10 +349,11 @@ class RuleScheduler:
         occurrence = activation.occurrence
         detector = self._detector
         telemetry = detector.telemetry
+        routed = telemetry.routed
         execution = self._execution
         depth = execution.get()[1] + 1
         span = None
-        if telemetry.active:
+        if RuleExecution in routed:
             span = telemetry.span(
                 RuleExecution,
                 parent_id=activation.parent_span_id,
@@ -359,9 +363,13 @@ class RuleScheduler:
                 depth=depth,
                 lane="async" if awaits else "sync",
             )
-        # The span's phase fields, handed over when it closes.
+        # The phase times, observed into the detector's histograms and
+        # handed to the span; read only when one of them keeps them.
+        times = detector.times
+        clocked = times is not None or span is not None
+        started = perf_counter() if clocked else 0.0
         outcome = "completed"
-        condition_ms = commit_ms = 0.0
+        condition_time = commit_time = 0.0
         try:
             if depth > self.MAX_DEPTH:
                 # Not counted as a rule failure: the error is charged to
@@ -396,15 +404,12 @@ class RuleScheduler:
                 # signaling so a condition calling an event-generating
                 # method does not trigger rules (paper §3.2.1's global
                 # acknowledge flag).
-                # The rule span's condition_ms is what metrics read; a
-                # ConditionEvaluated span is opened only for a
-                # processor that asked for one.
                 condition_span = None
-                if span is not None:
-                    if ConditionEvaluated in telemetry.routed:
-                        condition_span = telemetry.span(
-                            ConditionEvaluated, rule_name=rule.name
-                        )
+                if ConditionEvaluated in routed:
+                    condition_span = telemetry.span(
+                        ConditionEvaluated, rule_name=rule.name
+                    )
+                if clocked:
                     condition_started = perf_counter()
                 satisfied = False
                 suppressed = detector._suppressed
@@ -417,12 +422,15 @@ class RuleScheduler:
                     ) from exc
                 finally:
                     suppressed.reset(held)
-                    if span is not None:
-                        condition_ms = (
+                    stats.conditions_evaluated += 1
+                    if clocked:
+                        condition_time = (
                             perf_counter() - condition_started
                         ) * 1000.0
-                        if condition_span is not None:
-                            condition_span.close(satisfied=satisfied)
+                        if times is not None:
+                            times["condition.ms"].observe(condition_time)
+                    if condition_span is not None:
+                        condition_span.close(satisfied=satisfied)
                 if listeners:
                     self._notify("condition", rule, occurrence,
                                  satisfied=satisfied, depth=depth)
@@ -446,10 +454,10 @@ class RuleScheduler:
                 self._signal_rule_event(rule, EventModifier.END)
                 sub = pending.begun if pending is not None else None
                 if sub is not None:
-                    if span is not None:
+                    if clocked:
                         commit_start = perf_counter()
                         sub.commit()
-                        commit_ms = (perf_counter() - commit_start) * 1000.0
+                        commit_time = (perf_counter() - commit_start) * 1000.0
                     else:
                         sub.commit()
                 outcome = "completed" if satisfied else "rejected"
@@ -471,9 +479,17 @@ class RuleScheduler:
             finally:
                 execution.reset(token)
         finally:
+            if times is not None:
+                duration = (perf_counter() - started) * 1000.0
+                times["rule.ms"].observe(duration)
+                times["action_async" if awaits else "action"].observe(
+                    action_time(duration, condition_time, commit_time)
+                )
+                if commit_time > 0.0:
+                    times["commit"].observe(commit_time)
             if span is not None:
-                span.close(outcome=outcome, condition_ms=condition_ms,
-                           commit_ms=commit_ms)
+                span.close(outcome=outcome, condition_ms=condition_time,
+                           commit_ms=commit_time)
 
     def _signal_rule_event(self, rule: Rule, modifier: EventModifier) -> None:
         """Signal a ``$RULE`` meta-event for ``rule`` if one is armed

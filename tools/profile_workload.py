@@ -7,9 +7,11 @@ fixed number of its operations under ``cProfile``, checks the outputs
 against the workload's oracle, and prints the 40 functions with the
 largest cumulative time, then the 40 with the largest self time
 (``tottime``) — where many cheap calls, like per-emission telemetry,
-add up without ever ranking by cumulative time. A fixed operation
-count, not a time window, makes two profiles of the same seed
-comparable call for call.
+add up without ever ranking by cumulative time — and last the calls
+per operation by ``repro`` subpackage (``core``, ``telemetry``,
+``transactions``, ``storage``, ...; ``sentinel`` for the facade
+module). A fixed operation count, not a time window, makes two
+profiles of the same seed comparable call for call.
 
 Usage::
 
@@ -27,10 +29,12 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import os
 import pstats
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,7 +79,26 @@ def profile(name: str, seed: int, events: int) -> str:
     stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats("cumulative").print_stats(TOP)
     stats.sort_stats("tottime").print_stats(TOP)
+    out.write(by_package(stats, done))
     return out.getvalue()
+
+
+def by_package(stats: pstats.Stats, done: int) -> str:
+    """Calls per operation by ``repro`` subpackage (a top-level module
+    counts as its own row); everything else — the standard library,
+    builtins, the workload driver — is one row."""
+    marker = f"{os.sep}repro{os.sep}"
+    calls: Counter = Counter()
+    for (filename, __, __), (__, count, *__) in stats.stats.items():
+        __, found, inner = filename.rpartition(marker)
+        package = inner.split(os.sep)[0].removesuffix(".py")
+        calls[package if found else "(outside repro)"] += count
+    total = sum(calls.values())
+    lines = [f"calls per operation by repro subpackage ({done} operations)"]
+    for package, count in calls.most_common():
+        lines.append(f"  {package:<16} {count / done:>9.1f} {count:>12,}")
+    lines.append(f"  {'total':<16} {total / done:>9.1f} {total:>12,}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
