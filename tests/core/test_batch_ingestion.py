@@ -102,6 +102,25 @@ def test_suppressed_batch_returns_empty():
     assert det.stats.suppressed == 1
 
 
+def test_suppressed_batch_is_counted_but_not_ingested():
+    """DetectorStats.batches counts every batch call; the registry's
+    detector.batches, like batch.ms, only the ones ingested."""
+    system = Sentinel(name="app")
+    try:
+        system.explicit_event("a")
+        system.raise_events(["a", "a"])
+        with system.detector.signals_suppressed():
+            assert system.raise_events(["a", "a", "a"]) == []
+        stats = system.detector.stats
+        assert (stats.batches, stats.raises, stats.suppressed) == (2, 2, 3)
+        registry = system.metrics.registry
+        assert registry.value("detector.batches") == 1
+        assert registry.histograms["batch.ms"].count == 1
+        assert registry.value("detector.suppressed") == 3
+    finally:
+        system.close()
+
+
 def test_batch_counters_and_histogram():
     system = Sentinel(name="app")
     try:

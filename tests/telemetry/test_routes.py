@@ -27,6 +27,7 @@ from repro.telemetry.events import (
     NotificationReceived,
     RuleExecution,
     RuleTriggered,
+    WalFlush,
 )
 from repro.telemetry.hub import NOOP_SPAN
 
@@ -233,6 +234,30 @@ class TestSubscriptions:
             assert span is NOOP_SPAN
             assert hub.current_span_id() is None
         assert span.close() == 0.0
+
+    def test_aggregator_only_span_parents_a_typed_recorders_events(self):
+        """A span only an aggregator takes is still on the span stack:
+        a recorder that names its classes gets a parent id pointing at
+        a span it never receives."""
+        class OnlyDetections(TelemetryProcessor):
+            subscriptions = (Detection,)
+
+            def __init__(self):
+                self.seen = []
+
+            def handle(self, event):
+                self.seen.append(event)
+
+        hub = TelemetryHub()
+        hub.attach(CounterProcessor())
+        typed = hub.attach(OnlyDetections())
+        with hub.span(WalFlush, records=1) as flush:
+            assert hub.current_span_id() == flush.span_id
+            hub.point(Detection, event_name="e", operator="OR",
+                      context="recent")
+        (detection,) = typed.seen
+        assert detection.parent_span_id == flush.span_id
+        assert detection.trace_id == flush.trace_id
 
     def test_bare_handle_object_receives_every_class(self):
         class Bare:
